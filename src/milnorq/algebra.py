@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .backend import poly_mul
+from .backend import add_into, poly_mul
 from .errors import ConfigMismatchError
 
 
@@ -234,9 +234,8 @@ class ExtClass:
         p = self.cfg.p
         parts = {mask: dict(poly) for mask, poly in self.parts.items()}
         for mask, poly in other.parts.items():
-            for mono, c in poly.items():
-                _accumulate(parts, mask, mono, c, p)
-        return ExtClass(self.cfg, parts)
+            add_into(parts.setdefault(mask, {}), poly, 1, p)
+        return ExtClass(self.cfg, {m: q for m, q in parts.items() if q})
 
     __radd__ = __add__
 
@@ -284,26 +283,8 @@ class ExtClass:
         for ma, pa in self.parts.items():
             for mb, pb in other.parts.items():
                 sign = _SIGN[ma][mb]
-                if sign == 0:
-                    continue
-                prod = poly_mul(pa, pb, p)
-                if not prod:
-                    continue
-                target = parts.setdefault(ma | mb, {})
-                if sign == 1:
-                    for mono, c in prod.items():
-                        v = (target.get(mono, 0) + c) % p
-                        if v:
-                            target[mono] = v
-                        else:
-                            target.pop(mono, None)
-                else:
-                    for mono, c in prod.items():
-                        v = (target.get(mono, 0) - c) % p
-                        if v:
-                            target[mono] = v
-                        else:
-                            target.pop(mono, None)
+                if sign:
+                    add_into(parts.setdefault(ma | mb, {}), poly_mul(pa, pb, p), sign, p)
         return ExtClass(self.cfg, {m: q for m, q in parts.items() if q})
 
     def __rmul__(self, other):
@@ -334,15 +315,13 @@ class ExtClass:
 
 
 def _accumulate(parts, mask, mono, coeff, p):
-    coeff %= p
-    if not coeff:
-        return
+    """Add one term to parts in place; backend.add_into adds whole dicts."""
     poly = parts.setdefault(mask, {})
     v = (poly.get(mono, 0) + coeff) % p
     if v:
         poly[mono] = v
     else:
-        del poly[mono]
+        poly.pop(mono, None)
         if not poly:
             del parts[mask]
 
@@ -527,10 +506,8 @@ def substitute_linear(g, x):
             if img is None:
                 img = {cfg.zero_mono: 1}
             for tmask, tc in ext_targets.items():
-                f = (c * tc) % p
-                for m2, c2 in img.items():
-                    _accumulate(parts, tmask, m2, f * c2, p)
-    return ExtClass(cfg, parts)
+                add_into(parts.setdefault(tmask, {}), img, c * tc, p)
+    return ExtClass(cfg, {m: q for m, q in parts.items() if q})
 
 
 def _ext_image(g, mask):
@@ -543,18 +520,12 @@ def _ext_image(g, mask):
         if m & 1:
             new = {}
             for m0, c0 in out.items():
-                for j, c in enumerate(g.rows[i]):
-                    if not c:
-                        continue
-                    s = _SIGN[m0][1 << j]
-                    if s == 0:
-                        continue
-                    key = m0 | (1 << j)
-                    v = (new.get(key, 0) + s * c0 * c) % p
-                    if v:
-                        new[key] = v
-                    else:
-                        new.pop(key, None)
+                step = {
+                    m0 | 1 << j: _SIGN[m0][1 << j] * c
+                    for j, c in enumerate(g.rows[i])
+                    if c and not m0 >> j & 1
+                }
+                add_into(new, step, c0, p)
             out = new
             if not out:
                 return out

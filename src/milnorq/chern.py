@@ -13,6 +13,7 @@ import itertools
 from functools import lru_cache
 
 from .algebra import ExtClass, LinearSubst, substitute_linear
+from .backend import add_into
 from .errors import ConsistencyError, ResourceGuardError
 from .invariants import (
     DESK_SCALE_POINTS,
@@ -176,23 +177,12 @@ def _divide_once(layers, p):
     quotient = {}
     carry = {}
     for i in range(top, 0, -1):
-        coeff = _layer_sub(layers.get(i, {}), carry, p)
+        coeff = add_into(dict(layers.get(i, {})), carry, -1, p)
         if coeff:
             quotient[i - 1] = coeff
         carry = coeff
-    remainder = _layer_sub(layers.get(0, {}), carry, p)
+    remainder = add_into(dict(layers.get(0, {})), carry, -1, p)
     return quotient, remainder
-
-
-def _layer_sub(a, b, p):
-    out = dict(a)
-    for mono, c in b.items():
-        v = (out.get(mono, 0) - c) % p
-        if v:
-            out[mono] = v
-        else:
-            out.pop(mono, None)
-    return out
 
 
 def divisibility_profile(x, cfg=None):

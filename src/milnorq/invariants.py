@@ -23,7 +23,7 @@ from .algebra import (
     _term_sort_key,
     substitute_linear,
 )
-from .backend import poly_mul
+from .backend import add_into, poly_mul, poly_pow
 from .errors import ConsistencyError, ResourceGuardError
 from .linalg import kernel_basis, solve
 from .steenrod import apply_word
@@ -32,34 +32,11 @@ DESK_SCALE_POINTS = 400  # refuse group-size work beyond p^n of this size
 BASIS_COLUMN_BOUND = 200_000
 
 
-# -- raw sparse-polynomial helpers (exponent-tuple dicts, as in backend) ----
+# -- sparse polynomials in the format of milnorq.backend -------------------
 
 
 def _poly_one(cfg):
     return {cfg.zero_mono: 1}
-
-
-def _poly_sub(a, b, p):
-    out = dict(a)
-    for mono, c in b.items():
-        v = (out.get(mono, 0) - c) % p
-        if v:
-            out[mono] = v
-        else:
-            out.pop(mono, None)
-    return out
-
-
-def _poly_pow(poly, e, p, cfg):
-    result = _poly_one(cfg)
-    base = poly
-    while e:
-        if e & 1:
-            result = poly_mul(result, base, p)
-        e >>= 1
-        if e:
-            base = poly_mul(base, base, p)
-    return result
 
 
 def _poly_frobenius(poly, p):
@@ -102,28 +79,15 @@ class XPoly:
         out = {}
         for ea, pa in self.coeffs.items():
             for eb, pb in other.coeffs.items():
-                prod = poly_mul(pa, pb, p)
-                if not prod:
-                    continue
-                target = out.setdefault(ea + eb, {})
-                for mono, c in prod.items():
-                    v = (target.get(mono, 0) + c) % p
-                    if v:
-                        target[mono] = v
-                    else:
-                        target.pop(mono, None)
+                add_into(out.setdefault(ea + eb, {}), poly_mul(pa, pb, p), 1, p)
         return XPoly(self.cfg, {e: poly for e, poly in out.items() if poly})
 
     def __sub__(self, other):
         p = self.cfg.p
         out = {e: dict(poly) for e, poly in self.coeffs.items()}
         for e, poly in other.coeffs.items():
-            merged = _poly_sub(out.get(e, {}), poly, p)
-            if merged:
-                out[e] = merged
-            else:
-                out.pop(e, None)
-        return XPoly(self.cfg, out)
+            add_into(out.setdefault(e, {}), poly, -1, p)
+        return XPoly(self.cfg, {e: poly for e, poly in out.items() if poly})
 
     def frobenius(self):
         """Raise to the p-th power (additive polynomials stay additive)."""
@@ -143,42 +107,14 @@ class XPoly:
 
     def evaluate_at_var(self, k):
         """Substitute X = t_k (1-based); returns a sparse polynomial dict."""
-        p, n = self.cfg.p, self.cfg.n
         out = {}
         for e, poly in self.coeffs.items():
-            for mono, c in poly.items():
-                m1 = list(mono)
-                m1[k - 1] += e
-                m1 = tuple(m1)
-                v = (out.get(m1, 0) + c) % p
-                if v:
-                    out[m1] = v
-                else:
-                    out.pop(m1, None)
+            shifted = {
+                mono[: k - 1] + (mono[k - 1] + e,) + mono[k:]: c
+                for mono, c in poly.items()
+            }
+            add_into(out, shifted, 1, self.cfg.p)
         return out
-
-    def substitute_x_shift(self, lam, k):
-        """Substitute X = X + lam * t_k (1-based); binomial expansion."""
-        import math
-
-        p = self.cfg.p
-        out = {}
-        for e, poly in self.coeffs.items():
-            for r in range(e + 1):
-                b = (math.comb(e, r) * pow(lam, e - r, p)) % p
-                if not b:
-                    continue
-                target = out.setdefault(r, {})
-                for mono, c in poly.items():
-                    m1 = list(mono)
-                    m1[k - 1] += e - r
-                    m1 = tuple(m1)
-                    v = (target.get(m1, 0) + b * c) % p
-                    if v:
-                        target[m1] = v
-                    else:
-                        target.pop(m1, None)
-        return XPoly(self.cfg, {e: poly for e, poly in out.items() if poly})
 
     def __repr__(self):
         body = " + ".join(f"({self.coefficient(e)})*X^{e}" for e in self.support())
@@ -204,39 +140,8 @@ def dickson_polynomial(cfg):
     f = XPoly.x(cfg)
     for k in range(1, cfg.n + 1):
         c = f.evaluate_at_var(k)
-        cpow = _poly_pow(c, p - 1, p, cfg)
+        cpow = poly_pow(c, p - 1, p, cfg.n)
         f = f.frobenius() - f.scale_poly(cpow)
-    return f
-
-
-def dickson_polynomial_naive(cfg):
-    """Test oracle: the literal p^n-factor product of (X + v)."""
-    _guard_points(cfg)
-    p, n = cfg.p, cfg.n
-    f = XPoly.one(cfg)
-    for v in itertools.product(range(p), repeat=n):
-        poly = {}
-        for j, cj in enumerate(v):
-            if cj:
-                mono = tuple(1 if i == j else 0 for i in range(n))
-                poly[mono] = cj
-        factor = {1: _poly_one(cfg)}
-        if poly:
-            factor[0] = poly
-        f = f * XPoly(cfg, factor)
-    return f
-
-
-def dickson_polynomial_shift(cfg):
-    """Test oracle: the recursion f_n(X) = prod_lam f_{n-1}(X + lam*t_n)."""
-    _guard_points(cfg)
-    p = cfg.p
-    f = XPoly.x(cfg)
-    for k in range(1, cfg.n + 1):
-        prod = XPoly.one(cfg)
-        for lam in range(p):
-            prod = prod * f.substitute_x_shift(lam, k)
-        f = prod
     return f
 
 

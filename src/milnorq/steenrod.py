@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 from .algebra import ExtClass, _accumulate
+from .backend import add_into
 
 
 def milnor_q(i, x):
@@ -87,11 +88,10 @@ def reduced_power(j, x):
     p = cfg.p
     parts = {}
     for mask, poly in x.parts.items():
+        target = parts.setdefault(mask, {})
         for mono, c in poly.items():
-            totals = _term_totals(mono, j, p, cfg.n)
-            for m1, c1 in totals.get(j, {}).items():
-                _accumulate(parts, mask, m1, c * c1, p)
-    return ExtClass(cfg, parts)
+            add_into(target, _term_totals(mono, j, p, cfg.n).get(j, {}), c, p)
+    return ExtClass(cfg, {m: q for m, q in parts.items() if q})
 
 
 def total_reduced_power(x, max_degree):
@@ -115,9 +115,8 @@ def total_reduced_power(x, max_degree):
             continue
         totals = _term_totals(mono, jterm, p, cfg.n)
         for j, poly in totals.items():
-            for m1, c1 in poly.items():
-                _accumulate(out[j], mask, m1, c * c1, p)
-    return [ExtClass(cfg, parts) for parts in out]
+            add_into(out[j].setdefault(mask, {}), poly, c, p)
+    return [ExtClass(cfg, {m: q for m, q in parts.items() if q}) for parts in out]
 
 
 def parse_op_word(text):

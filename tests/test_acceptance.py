@@ -34,8 +34,8 @@ from milnorq import (
     total_reduced_power,
 )
 from milnorq.chern import WeightMultiset, divisibility_profile
-from milnorq.invariants import dickson_polynomial_naive
 from conftest import random_class, random_homogeneous, random_homogeneous_poly, random_subst
+from oracles import dickson_polynomial_naive
 
 REG_SET = [(3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (5, 3)]
 

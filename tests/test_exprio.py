@@ -121,3 +121,20 @@ class TestJson:
             class_from_json(
                 {"p": 3, "n": 2, "terms": [{"coeff": 1, "exps": [0, 0], "dts": [3]}]}
             )
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"p": 3, "n": 2, "terms": [{"coeff": 1, "exps": [1.5, 0], "dts": []}]},
+            {"p": 3, "n": 2, "terms": [{"coeff": 1, "exps": [0, 0], "dts": [1.9]}]},
+            {"p": 3, "n": 2, "terms": [{"coeff": 1, "exps": [0, 0]}]},
+            {"p": 3, "n": 2, "terms": [{"coeff": True, "exps": [0, 0], "dts": []}]},
+            {"p": 3.0, "n": 2, "terms": []},
+            {"p": 3, "terms": []},
+            {"p": 3, "n": 2, "terms": {"coeff": 1}},
+        ],
+        ids=["float-exp", "float-dt", "missing-dts", "bool-coeff", "float-p", "missing-n", "terms-not-list"],
+    )
+    def test_rejects_inexact_types_and_missing_keys(self, payload):
+        with pytest.raises(ValueError):
+            class_from_json(payload)

@@ -21,12 +21,11 @@ from milnorq import (
 from milnorq.invariants import (
     GroupSpec,
     decomposition_text,
-    dickson_polynomial_naive,
-    dickson_polynomial_shift,
     primitive_root,
     ring_generators,
 )
 from conftest import random_homogeneous_poly, random_subst
+from oracles import dickson_polynomial_naive, dickson_polynomial_shift
 
 
 class TestDicksonPolynomial:

@@ -70,7 +70,7 @@ class TestGeneratorRules:
             reduced_power(-1, ExtClass.one(cfg))
 
     def test_large_index_exponents_stay_exact(self):
-        # exponents beyond the compiled kernel's packing range still work
+        # exponents far beyond 16 bits stay exact
         cfg = Config(3, 1)
         x = milnor_q(12, ExtClass.dt(cfg, 1))
         assert x == ExtClass(cfg, {0: {(3**12,): 1}})
