@@ -4,18 +4,57 @@ A polynomial in n variables over F_p is a dict mapping exponent tuples of
 length n to coefficients in 1..p-1; zero coefficients are never stored.
 poly_mul and add_into are the only loops that combine two such dicts;
 algebra._accumulate adds a single term.
+
+poly_mul takes one of two paths, chosen only from its operands:
+
+- Dict loop.  Products of fewer than PACKED_MIN_PAIRS term pairs (|a|*|b|)
+  run a plain dict loop, which costs least per call: below about 64 pairs
+  the fixed cost of the numpy calls is larger than the whole loop.
+- Packed keys.  Larger products pack each exponent tuple into one int64 key
+  (packed monomials, as in Monagan & Pearce, "Parallel sparse polynomial
+  multiplication using heaps", ISSAC 2009).  The field of variable i is as
+  wide as the bit length of max_i(a) + max_i(b), so the widths are chosen
+  per call and a sum of two keys never carries from one field into the
+  next.  Variable 0 takes the highest field, so keys sort in exponent-tuple
+  order.  Keys of term pairs are added and coefficients multiplied mod p in
+  blocks of at most BLOCK_PAIRS pairs (or of one term of the larger operand
+  times all of the smaller one, if that is more).  Each block is stably
+  sorted together with the running sorted result, and the coefficients of
+  equal keys are summed mod p.  Temporaries thus stay near the size of the
+  result, whatever the number of pairs.
+
+Exact fallback: when the widths sum to more than PACKED_KEY_BITS, or an
+exponent or coefficient does not fit in int64, the product takes the dict
+loop, which is exact for any Python ints.  Both paths return equal dicts;
+only the insertion order differs.
 """
+
+from itertools import chain
+
+import numpy as np
+
+PACKED_MIN_PAIRS = 128  # |a|*|b| below this uses the dict loop
+PACKED_KEY_BITS = 62  # widest packed key; wider products use the dict loop
+BLOCK_PAIRS = 1 << 15  # most term pairs formed at once on the packed path
 
 
 def backend_name():
-    """Name of the kernel implementation; there is one, in pure Python."""
-    return "pure"
+    """Name of the kernel: a dict loop for small products, numpy for large."""
+    return "dict+numpy-packed"
 
 
 def poly_mul(a, b, p):
     """Product of two sparse polynomials mod p."""
     if len(a) < len(b):
         a, b = b, a
+    if len(a) * len(b) >= PACKED_MIN_PAIRS:
+        product = _packed_mul(a, b, p)
+        if product is not None:
+            return product
+    return _dict_mul(a, b, p)
+
+
+def _dict_mul(a, b, p):
     acc = {}
     get = acc.get
     for kb, cb in b.items():
@@ -23,6 +62,64 @@ def poly_mul(a, b, p):
             k = tuple(x + y for x, y in zip(ka, kb))
             acc[k] = get(k, 0) + ca * cb
     return {k: c for k, c in ((k, c % p) for k, c in acc.items()) if c}
+
+
+def _as_arrays(poly, n):
+    """(exponents as an (|poly|, n) int64 array, coefficients as int64)."""
+    size = len(poly)
+    exps = np.fromiter(chain.from_iterable(poly), dtype=np.int64, count=size * n)
+    coeffs = np.fromiter(poly.values(), dtype=np.int64, count=size)
+    return exps.reshape(size, n), coeffs
+
+
+def _packed_mul(a, b, p):
+    """poly_mul on packed int64 keys; None when the keys would not fit."""
+    n = len(next(iter(a)))
+    try:
+        exps_a, coeffs_a = _as_arrays(a, n)
+        exps_b, coeffs_b = _as_arrays(b, n)
+    except OverflowError:
+        return None
+    top = zip(exps_a.max(axis=0).tolist(), exps_b.max(axis=0).tolist())
+    widths = [(x + y).bit_length() for x, y in top]
+    if sum(widths) > PACKED_KEY_BITS:
+        return None
+    # variable 0 takes the highest field, so key order is exponent-tuple order
+    shifts = np.cumsum([0] + widths[:0:-1], dtype=np.int64)[::-1]
+    keys_a = (exps_a << shifts).sum(axis=1)
+    keys_b = (exps_b << shifts).sum(axis=1)
+    coeffs_a %= p
+    coeffs_b %= p
+
+    keys = np.empty(0, dtype=np.int64)
+    coeffs = np.empty(0, dtype=np.int64)
+    rows = max(1, BLOCK_PAIRS // len(b))
+    for start in range(0, len(a), rows):
+        # one row per term of b: when a came from this path its keys are
+        # sorted, so the stable sort merges len(b) + 1 sorted runs
+        block_keys = keys_b[:, None] + keys_a[None, start:start + rows]
+        block_coeffs = coeffs_b[:, None] * coeffs_a[None, start:start + rows]
+        keys, coeffs = _sum_equal_keys(
+            np.concatenate((keys, block_keys.ravel())),
+            np.concatenate((coeffs, block_coeffs.ravel())),
+            p,
+        )
+
+    nonzero = coeffs != 0
+    keys, coeffs = keys[nonzero], coeffs[nonzero]
+    masks = (np.int64(1) << np.array(widths, dtype=np.int64)) - 1
+    columns = ((keys >> shift) & mask for shift, mask in zip(shifts, masks))
+    # one list per variable: no per-term list is made on the way to the tuples
+    return dict(zip(zip(*(column.tolist() for column in columns)), coeffs.tolist()))
+
+
+def _sum_equal_keys(keys, coeffs, p):
+    """Sort by key and sum the coefficients of equal keys mod p."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    coeffs = coeffs[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(coeffs, starts) % p
 
 
 def add_into(target, src, c, p):

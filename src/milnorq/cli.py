@@ -29,6 +29,7 @@ from .errors import (
 )
 from .exprio import class_to_json, parse_class, render_class
 from .invariants import (
+    check_invariant_matrix_bytes,
     decomposition_text,
     dickson_classes,
     group_generators,
@@ -134,6 +135,8 @@ def cmd_hilbert(args):
     cfg = Config(args.p, args.n)
     group = group_generators(cfg, args.group)
     ring = "SM" if group.kind == "SL" else "M"
+    for d in range(args.max_degree + 1):
+        check_invariant_matrix_bytes(cfg, d, group)  # refuse before any work
     rows = []
     for d in range(args.max_degree + 1):
         dim, _ = invariant_dimension(cfg, d, group)

@@ -11,6 +11,7 @@ questions executable.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +30,7 @@ from .linalg import kernel_basis, solve
 from .steenrod import apply_word
 
 DESK_SCALE_POINTS = 400  # refuse group-size work beyond p^n of this size
-BASIS_COLUMN_BOUND = 200_000
+INVARIANT_MATRIX_BYTES = 1 << 30  # int64 (g - id) blocks plus their vstack
 
 
 # -- sparse polynomials in the format of milnorq.backend -------------------
@@ -304,6 +305,16 @@ def degree_basis(cfg, d):
     return basis
 
 
+def degree_basis_size(cfg, d):
+    """len(degree_basis(cfg, d)), counted without building the basis."""
+    n = cfg.n
+    return sum(
+        math.comb(n, r) * math.comb((d - r) // 2 + n - 1, n - 1)
+        for r in range(min(n, d) + 1)
+        if (d - r) % 2 == 0
+    )
+
+
 def ring_generators(cfg, ring):
     """(names, classes) of the polynomial generators of D_n or SD_n."""
     ring = ring.upper()
@@ -427,17 +438,32 @@ def orbit_size(cfg, group, start):
     return len(seen)
 
 
+def check_invariant_matrix_bytes(cfg, d, group):
+    """Raise ResourceGuardError unless invariant_dimension(cfg, d, group)
+    fits its dense matrices in INVARIANT_MATRIX_BYTES.
+
+    It builds one columns x columns int64 block per generator and then
+    stacks them, so it holds twice their bytes.  Nothing is allocated here:
+    the column count comes from degree_basis_size, not from the basis.
+    """
+    columns = degree_basis_size(cfg, d)
+    needed = 2 * len(group.generators) * columns * columns * 8
+    if needed > INVARIANT_MATRIX_BYTES:
+        raise ResourceGuardError(
+            f"degree-{d} invariants need {len(group.generators)} dense "
+            f"{columns}x{columns} matrices and their stack, {needed} bytes; "
+            f"bound is {INVARIANT_MATRIX_BYTES}"
+        )
+
+
 def invariant_dimension(cfg, d, group):
     """Dimension and echelonized basis of the degree-d invariants.
 
     The basis spans the simultaneous kernel of (g - id) over all generators
     acting on the degree-d piece of the full algebra.
     """
+    check_invariant_matrix_bytes(cfg, d, group)
     basis = degree_basis(cfg, d)
-    if len(basis) > BASIS_COLUMN_BOUND:
-        raise ResourceGuardError(
-            f"degree-{d} basis has {len(basis)} columns; bound is {BASIS_COLUMN_BOUND}"
-        )
     if not basis:
         return 0, []
     if not group.generators:

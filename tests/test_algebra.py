@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from milnorq import (
@@ -182,3 +184,30 @@ class TestSubstitution:
             for k in range(1, cfg.n + 1):
                 image = substitute_linear(g, ExtClass.dt(cfg, k))
                 assert milnor_q(0, image) == substitute_linear(g, ExtClass.t(cfg, k))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("p", [3, 7, 97])
+    def test_matches_sympy_substitution(self, p, n, packed_calls):
+        # these exponents make the powers of the images of t_k large enough for
+        # the packed kernel, even mod 3 where (a t1 + b t2)^(3e) has few terms;
+        # sympy composes the polynomial on its own
+        pytest.importorskip("sympy")
+        from sympy.polys.domains import GF
+        from sympy.polys.rings import ring
+
+        cfg = Config(p, n)
+        max_exp = {2: 80, 3: 24, 4: 10}[n]
+        rng = random.Random(f"subst:{p}:{n}")
+        field, *xs = ring(",".join(f"t{k}" for k in range(n)), GF(p))
+        for _ in range(3):
+            g = random_subst(rng, cfg)
+            poly = {}
+            for _ in range(3):
+                mono = tuple(rng.randint(0, max_exp) for _ in range(n))
+                poly[mono] = rng.randint(1, p - 1)
+            images = [sum(c * x for c, x in zip(row, xs)) for row in g.rows]
+            want = field.from_dict(poly).compose(list(zip(xs, images)))
+            want = {mono: int(c) % p for mono, c in want.items() if int(c) % p}
+            got = substitute_linear(g, ExtClass(cfg, {0: poly}))
+            assert got == (ExtClass(cfg, {0: want}) if want else ExtClass.zero(cfg))
+        assert packed_calls

@@ -1,12 +1,20 @@
-"""The sparse-polynomial kernel, checked against sympy's arithmetic over F_p."""
+"""The sparse-polynomial kernel, checked against sympy's arithmetic over F_p.
+
+The oracle is sympy's sparse polynomial ring over GF(p), which multiplies
+dicts of exponent tuples in pure Python and never packs exponents, so it is
+independent of both paths of poly_mul.
+"""
 
 import random
 
 import pytest
 
-from milnorq.backend import add_into, poly_mul, poly_pow
+from milnorq import backend
+from milnorq.backend import BLOCK_PAIRS, PACKED_MIN_PAIRS, add_into, poly_mul, poly_pow
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.domains import GF  # noqa: E402
+from sympy.polys.rings import ring  # noqa: E402
 
 
 def random_poly(rng, n, terms, max_exp, p):
@@ -17,14 +25,46 @@ def random_poly(rng, n, terms, max_exp, p):
     return out
 
 
+def exact_poly(rng, n, terms, p, max_exp=None):
+    """A random polynomial with exactly `terms` terms."""
+    if max_exp is None:
+        max_exp = 1
+        while (max_exp + 1) ** n < 2 * terms:
+            max_exp += 1
+    out = {}
+    while len(out) < terms:
+        out[tuple(rng.randint(0, max_exp) for _ in range(n))] = rng.randint(1, p - 1)
+    return out
+
+
 def to_sympy(poly, n, p):
-    gens = sympy.symbols(f"x0:{n}")
-    return sympy.Poly.from_dict(poly or {(0,) * n: 0}, *gens, modulus=p)
+    gens = ",".join(f"x{i}" for i in range(n))
+    field, *_ = ring(gens, GF(p))
+    return field.from_dict(poly)
 
 
 def from_sympy(f, p):
-    out = {mono: int(c) % p for mono, c in f.as_dict().items()}
+    out = {mono: int(c) % p for mono, c in f.items()}
     return {mono: c for mono, c in out.items() if c}
+
+
+def checked_mul(a, b, p):
+    """poly_mul(a, b, p), asserting that neither operand changed."""
+    a_before, b_before = list(a.items()), list(b.items())
+    product = poly_mul(a, b, p)
+    assert list(a.items()) == a_before
+    assert list(b.items()) == b_before
+    return product
+
+
+def sympy_mul(a, b, n, p):
+    return from_sympy(to_sympy(a, n, p) * to_sympy(b, n, p), p)
+
+
+def shape(pairs):
+    """(|a|, |b|) with |a|*|b| == pairs and |b| as large as possible."""
+    lb = max(d for d in range(1, int(pairs**0.5) + 1) if pairs % d == 0)
+    return pairs // lb, lb
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -34,8 +74,84 @@ def test_poly_mul_matches_sympy(n, p):
     for _ in range(20):
         a = random_poly(rng, n, rng.randint(1, 12), 6, p)
         b = random_poly(rng, n, rng.randint(1, 12), 6, p)
-        want = from_sympy(to_sympy(a, n, p) * to_sympy(b, n, p), p)
-        assert poly_mul(a, b, p) == want
+        assert checked_mul(a, b, p) == sympy_mul(a, b, n, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [3, 7, 97])
+@pytest.mark.parametrize("pairs", [PACKED_MIN_PAIRS - 1, PACKED_MIN_PAIRS, PACKED_MIN_PAIRS + 1])
+def test_poly_mul_at_the_packed_cutoff(n, p, pairs, packed_calls):
+    rng = random.Random(f"cutoff:{n}:{p}:{pairs}")
+    la, lb = shape(pairs)
+    for _ in range(3):
+        a = exact_poly(rng, n, la, p)
+        b = exact_poly(rng, n, lb, p)
+        assert len(a) * len(b) == pairs
+        want = sympy_mul(a, b, n, p)
+        assert checked_mul(a, b, p) == want
+        assert checked_mul(b, a, p) == want
+    assert packed_calls == ([pairs] * 6 if pairs >= PACKED_MIN_PAIRS else [])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [3, 7, 97])
+def test_poly_mul_over_several_blocks(n, p):
+    rng = random.Random(f"blocks:{n}:{p}")
+    a = exact_poly(rng, n, 4_000, p)
+    b = exact_poly(rng, n, 20, p)
+    assert len(a) * len(b) > 2 * BLOCK_PAIRS  # three blocks, two merges
+    assert checked_mul(a, b, p) == sympy_mul(a, b, n, p)
+
+
+@pytest.mark.parametrize("p", [3, 7, 97])
+def test_cancellation_across_blocks(p):
+    # (x - y) * sum_{i<k} x^i y^(k-1-i) = x^k - y^k: all other 2k - 2 terms cancel
+    k = BLOCK_PAIRS + 5
+    a = {(i, k - 1 - i): 1 for i in range(k)}
+    b = {(1, 0): 1, (0, 1): p - 1}
+    assert checked_mul(a, b, p) == {(k, 0): 1, (0, k): p - 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [3, 7, 97])
+def test_product_that_cancels_to_zero(n, p):
+    # coefficients that are multiples of p: both operands are zero mod p
+    rng = random.Random(f"zero:{n}:{p}")
+    a = {mono: p * c for mono, c in exact_poly(rng, n, 40, p).items()}
+    b = exact_poly(rng, n, 40, p)
+    assert sympy_mul(a, b, n, p) == {}
+    assert checked_mul(a, b, p) == {}
+    assert checked_mul(a, a, p) == {}
+
+
+@pytest.mark.parametrize("p", [3, 7, 97])
+def test_unreduced_coefficients_stay_exact(p):
+    # coefficients of size p * 2^55 fit in int64, but their products would wrap
+    rng = random.Random(f"unreduced:{p}")
+    a = {mono: c + p * 2**55 for mono, c in exact_poly(rng, 3, 30, p).items()}
+    b = {mono: c - p * 2**55 for mono, c in exact_poly(rng, 3, 30, p).items()}
+    assert checked_mul(a, b, p) == sympy_mul(a, b, 3, p)
+
+
+@pytest.mark.parametrize("p", [3, 7, 97])
+def test_wide_keys_take_the_exact_fallback(p):
+    # four 17-bit fields of 80,000 do not fit in a 62-bit key
+    rng = random.Random(f"wide:{p}")
+    a = {(40_000,) * 4: 1, **exact_poly(rng, 4, 20, p, max_exp=5)}
+    assert len(a) ** 2 >= PACKED_MIN_PAIRS
+    assert backend._packed_mul(a, a, p) is None
+    want = sympy_mul(a, a, 4, p)
+    assert want[(80_000,) * 4] == 1
+    assert checked_mul(a, a, p) == want
+    assert checked_mul({(40_000,) * 4: 1}, {(40_000,) * 4: 1}, p) == {(80_000,) * 4: 1}
+
+
+def test_exponents_beyond_int64_take_the_exact_fallback():
+    huge = 2**70
+    a = {(huge, i): 1 for i in range(20)}
+    b = {(i, 0): 2 for i in range(20)}
+    assert backend._packed_mul(a, b, 3) is None
+    assert checked_mul(a, b, 3) == sympy_mul(a, b, 2, 3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -66,24 +182,26 @@ def test_poly_pow_matches_repeated_product():
     assert poly_pow(x, 0, p, n) == {(0, 0, 0): 1}
     assert poly_pow(x, 1, p, n) == x
     assert poly_pow(x, 5, p, n) == from_sympy(to_sympy(x, n, p) ** 5, p)
+    # x^6 has 28 terms, so its square goes through the packed path
+    assert poly_pow(x, 12, p, n) == from_sympy(to_sympy(x, n, p) ** 12, p)
     # Frobenius: the p-th power of a linear form is additive
     assert poly_pow(x, p, p, n) == {(7, 0, 0): 1, (0, 7, 0): 3, (0, 0, 7): 6}
 
 
 def test_empty_operands():
-    assert poly_mul({}, {(1,): 1}, 3) == {}
-    assert poly_mul({(1,): 1}, {}, 3) == {}
+    assert checked_mul({}, {(1,): 1}, 3) == {}
+    assert checked_mul({(1,): 1}, {}, 3) == {}
 
 
 def test_cancellation_drops_terms():
     # (t1 + 2 t2)(2 t1 + 2 t2) = 2 t1^2 + 6 t1 t2 + 4 t2^2; 6 == 0 mod 3
     x = {(1, 0): 1, (0, 1): 2}
     y = {(0, 1): 2, (1, 0): 2}
-    assert poly_mul(x, y, 3) == {(2, 0): 2, (0, 2): 1}
-    assert poly_mul({(1, 0): 1, (0, 1): 1}, {(1, 0): 1}, 3) == {(2, 0): 1, (1, 1): 1}
+    assert checked_mul(x, y, 3) == {(2, 0): 2, (0, 2): 1}
+    assert checked_mul({(1, 0): 1, (0, 1): 1}, {(1, 0): 1}, 3) == {(2, 0): 1, (1, 1): 1}
 
 
 def test_large_exponents_stay_exact():
     big = {(70_000,): 1}
-    assert poly_mul(big, big, 3) == {(140_000,): 1}
-    assert poly_mul({(40_000, 0): 1}, {(40_000, 1): 2}, 3) == {(80_000, 1): 2}
+    assert checked_mul(big, big, 3) == {(140_000,): 1}
+    assert checked_mul({(40_000, 0): 1}, {(40_000, 1): 2}, 3) == {(80_000, 1): 2}

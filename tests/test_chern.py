@@ -128,7 +128,9 @@ class TestRegularRepresentation:
         assert all(m == 1 for _, m in reg.items())
         assert len(reg.weights) == 9
 
-    @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2)])
+    # (5,3) multiplies a 93,601-term partial product by 1 + v, over several
+    # blocks of the packed kernel
+    @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2), (3, 3), (5, 3)])
     def test_alternating_dickson_sum(self, p, n):
         cfg = Config(p, n)
         ds = dickson_classes(cfg)

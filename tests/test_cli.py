@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from milnorq import invariants
 from milnorq.cli import main
 
 
@@ -179,6 +180,19 @@ class TestExitCodes:
     def test_resource_guard(self, capsys):
         code, _, err = run(capsys, ["dickson", "-p", "5", "-n", "4"])
         assert code == 2
+        assert "resource guard" in err
+
+    def test_hilbert_refuses_matrices_beyond_the_byte_bound(self, capsys, monkeypatch):
+        # degree 40 at (97, 4) would need about 29 GB of dense matrices; the
+        # guard must refuse before any degree is computed
+        def unreachable(*args):
+            raise AssertionError("the guard let the call through")
+
+        monkeypatch.setattr(invariants, "degree_basis", unreachable)
+        argv = ["hilbert", "-p", "97", "-n", "4", "--group", "sl", "--max-degree", "40"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
         assert "resource guard" in err
 
     def test_bad_prime(self, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from milnorq import (
@@ -18,9 +20,12 @@ from milnorq import (
     predicted_dimension,
     substitute_linear,
 )
+from milnorq import invariants
 from milnorq.invariants import (
     GroupSpec,
     decomposition_text,
+    degree_basis,
+    degree_basis_size,
     primitive_root,
     ring_generators,
 )
@@ -254,6 +259,30 @@ class TestInvariantDimension:
         dim, basis = invariant_dimension(cfg, 4, group_generators(cfg, "SL"))
         assert dim == 1
         assert basis == [milnor_q(0, ExtClass.dt_top(cfg))]
+
+    def test_basis_size_is_counted_exactly(self):
+        for n in range(1, 5):
+            cfg = Config(3, n)
+            for d in range(0, 25):
+                assert degree_basis_size(cfg, d) == len(degree_basis(cfg, d)), (n, d)
+
+    def test_matrix_guard_refuses_before_allocating(self, monkeypatch):
+        # 12 generators and 12,341 columns: 2 x 12 x 12,341^2 x 8 B = 29 GB
+        cfg = Config(97, 4)
+        group = group_generators(cfg, "SL")
+
+        def unreachable(*args):
+            raise AssertionError("the guard let the call through")
+
+        monkeypatch.setattr(invariants, "degree_basis", unreachable)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceGuardError, match="12341x12341"):
+                invariant_dimension(cfg, 40, group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     def test_degree_zero(self):
         for cfg in (Config(3, 2), Config(5, 3)):
