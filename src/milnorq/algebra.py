@@ -283,8 +283,17 @@ class ExtClass:
         for ma, pa in self.parts.items():
             for mb, pb in other.parts.items():
                 sign = _SIGN[ma][mb]
-                if sign:
-                    add_into(parts.setdefault(ma | mb, {}), poly_mul(pa, pb, p), sign, p)
+                if not sign:
+                    continue
+                prod = poly_mul(pa, pb, p)
+                part = parts.get(ma | mb)
+                if part is not None:
+                    add_into(part, prod, sign, p)
+                elif sign == 1:
+                    # poly_mul returns a fresh, reduced dict: keep it as it is
+                    parts[ma | mb] = prod
+                else:
+                    parts[ma | mb] = {k: p - c for k, c in prod.items()}
         return ExtClass(self.cfg, {m: q for m, q in parts.items() if q})
 
     def __rmul__(self, other):

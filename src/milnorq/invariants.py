@@ -30,7 +30,7 @@ from .linalg import kernel_basis, solve
 from .steenrod import apply_word
 
 DESK_SCALE_POINTS = 400  # refuse group-size work beyond p^n of this size
-INVARIANT_MATRIX_BYTES = 1 << 30  # int64 (g - id) blocks plus their vstack
+INVARIANT_MATRIX_BYTES = 1 << 30  # bound on the dense-stack estimate, see below
 
 
 # -- sparse polynomials in the format of milnorq.backend -------------------
@@ -440,11 +440,15 @@ def orbit_size(cfg, group, start):
 
 def check_invariant_matrix_bytes(cfg, d, group):
     """Raise ResourceGuardError unless invariant_dimension(cfg, d, group)
-    fits its dense matrices in INVARIANT_MATRIX_BYTES.
+    fits under INVARIANT_MATRIX_BYTES by a conservative estimate.
 
-    It builds one columns x columns int64 block per generator and then
-    stacks them, so it holds twice their bytes.  Nothing is allocated here:
-    the column count comes from degree_basis_size, not from the basis.
+    The estimate is the cost of the dense route that stacks one
+    columns x columns int64 (g - id) block per generator: the blocks and
+    their stack, 2 x generators x columns^2 x 8 bytes.  invariant_dimension
+    works one exterior grade and one generator at a time, so it allocates
+    far less than this; the estimate only fixes which inputs are refused.
+    Nothing is allocated here: the column count comes from
+    degree_basis_size, not from the basis.
     """
     columns = degree_basis_size(cfg, d)
     needed = 2 * len(group.generators) * columns * columns * 8
@@ -456,41 +460,71 @@ def check_invariant_matrix_bytes(cfg, d, group):
         )
 
 
+def _grade_class(cfg, grade, vec):
+    """The class with coordinates vec on the basis elements of grade."""
+    parts = {}
+    for i in np.flatnonzero(vec).tolist():
+        mask, mono = grade[i]
+        parts.setdefault(mask, {})[mono] = int(vec[i])
+    return ExtClass(cfg, parts)
+
+
+def _moved(cfg, g, grade, kern):
+    """The matrix whose column j is g.v - v mod p, for v the j-th row of kern.
+
+    kern None stands for the identity: v runs over the basis of the grade.
+    """
+    index = {b: i for i, b in enumerate(grade)}
+    if kern is None:
+        vectors = [ExtClass(cfg, {mask: {mono: 1}}) for mask, mono in grade]
+        out = -np.identity(len(grade), dtype=np.int64)
+    else:
+        vectors = [_grade_class(cfg, grade, vec) for vec in kern]
+        out = -kern.T
+    for j, v in enumerate(vectors):
+        for mask, poly in substitute_linear(g, v).parts.items():
+            for mono, c in poly.items():
+                out[index[(mask, mono)], j] += c
+    return out % cfg.p
+
+
 def invariant_dimension(cfg, d, group):
     """Dimension and echelonized basis of the degree-d invariants.
 
     The basis spans the simultaneous kernel of (g - id) over all generators
-    acting on the degree-d piece of the full algebra.
+    acting on the degree-d piece of the full algebra.  Substitution keeps
+    the number of dt factors, so each exterior grade is solved on its own.
+    Within a grade the kernels are intersected one generator at a time:
+    the rows of K span the invariants of the generators so far (the whole
+    grade to start with); for the next generator g, the kernel of
+    v -> g.v - v on the row space of K gives the combinations of rows of K
+    to keep.  A grade stops as soon as K is empty, without building the
+    matrices of the remaining generators.  K stays in reduced echelon form,
+    and the grades sit on disjoint, ordered coordinates, so together they
+    give the reduced echelon basis of the whole kernel.
     """
     check_invariant_matrix_bytes(cfg, d, group)
+    p = cfg.p
     basis = degree_basis(cfg, d)
-    if not basis:
-        return 0, []
-    if not group.generators:
-        classes = [ExtClass(cfg, {mask: {mono: 1}}) for mask, mono in basis]
-        return len(basis), classes
-    index = {b: i for i, b in enumerate(basis)}
-    size = len(basis)
-    blocks = []
-    for g in group.generators:
-        m = np.zeros((size, size), dtype=np.int64)
-        for col, (mask, mono) in enumerate(basis):
-            y = substitute_linear(g, ExtClass(cfg, {mask: {mono: 1}}))
-            for ymask, ypoly in y.parts.items():
-                for ymono, c in ypoly.items():
-                    m[index[(ymask, ymono)], col] = c
-        for i in range(size):
-            m[i, i] -= 1
-        blocks.append(m % cfg.p)
-    kern = kernel_basis(np.vstack(blocks), cfg.p)
     classes = []
-    for vec in kern:
-        parts = {}
-        for i, c in enumerate(vec):
-            if c:
-                mask, mono = basis[i]
-                parts.setdefault(mask, {})[mono] = int(c)
-        classes.append(ExtClass(cfg, parts))
+    # degree_basis sorts by -sum(mono) before the mask, so at a fixed degree
+    # each grade is one contiguous run of the basis
+    for _, run in itertools.groupby(basis, key=lambda b: sum(b[1])):
+        grade = list(run)
+        kern = None  # the whole grade
+        for g in group.generators:
+            combos = kernel_basis(_moved(cfg, g, grade, kern), p)
+            if not combos:
+                break
+            # kernel_basis returns reduced echelon rows, and a product of
+            # two reduced echelon matrices of full row rank is one too, so
+            # kern stays the canonical basis of its row space
+            combos = np.array(combos)
+            kern = combos if kern is None else combos @ kern % p
+        else:
+            if kern is None:
+                kern = np.identity(len(grade), dtype=np.int64)
+            classes += [_grade_class(cfg, grade, vec) for vec in kern]
     return len(classes), classes
 
 

@@ -1,4 +1,10 @@
-"""Dense linear algebra over F_p (desk scale, numpy int64 matrices)."""
+"""Dense linear algebra over F_p (desk scale, numpy int64 matrices).
+
+rref eliminates in place and only where it must: for each pivot it updates
+the rows with a nonzero entry in the pivot column, and only from the pivot
+column rightwards, since the pivot row is zero to its left.  Entries stay in
+0..p-1 between pivots, so no product exceeds p^2.
+"""
 
 from __future__ import annotations
 
@@ -16,16 +22,16 @@ def rref(matrix, p):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        others = np.flatnonzero(a[:, c])
+        others = others[others != r]
+        a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -52,23 +58,15 @@ def kernel_basis(matrix, p):
     Returns a list of int64 arrays whose leading entries are 1, ordered by
     leading position.
     """
-    a = np.array(matrix, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError("matrix must be 2-dimensional")
-    ncols = a.shape[1]
-    if a.shape[0] == 0:
-        red, pivots = a % p, []
-    else:
-        red, pivots = rref(a, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    vectors = []
-    for f in free:
-        v = np.zeros(ncols, dtype=np.int64)
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-int(red[r, f])) % p
-        vectors.append(v)
-    if not vectors:
+    red, pivots = rref(matrix, p)
+    ncols = red.shape[1]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    if not free:
         return []
-    echelon, _ = rref(np.array(vectors), p)
+    # one vector per free column f: 1 at f, minus column f of red at the pivots
+    vectors = np.zeros((len(free), ncols), dtype=np.int64)
+    vectors[np.arange(len(free)), free] = 1
+    vectors[:, pivots] = -red[: len(pivots), free].T % p
+    echelon, _ = rref(vectors, p)
     return [row for row in echelon if row.any()]

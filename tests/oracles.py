@@ -1,14 +1,22 @@
-"""Independent routes to the Dickson polynomial f_n, used only by tests.
+"""Independent routes to library results, used only by tests.
 
-The library computes f_n by the additive recursion in
-invariants.dickson_polynomial; these oracles expand the defining product
-directly, so agreement checks the recursion.
+- The Dickson polynomial f_n: the library uses the additive recursion in
+  invariants.dickson_polynomial; these oracles expand the defining product
+  directly, so agreement checks the recursion.
+- Row reduction mod p: rref_dense rewrites the whole matrix at every pivot,
+  where linalg.rref updates only the rows and columns that change.
+- Invariants: invariant_dimension_stacked solves one stacked system of all
+  (g - id) blocks over the whole degree, where invariant_dimension works one
+  exterior grade and one generator at a time.
 """
 
 import itertools
 import math
 
-from milnorq.invariants import XPoly, _guard_points, _poly_one
+import numpy as np
+
+from milnorq.algebra import ExtClass, substitute_linear
+from milnorq.invariants import XPoly, _guard_points, _poly_one, degree_basis
 
 
 def dickson_polynomial_naive(cfg):
@@ -62,3 +70,77 @@ def dickson_polynomial_shift(cfg):
             prod = prod * substitute_x_shift(f, lam, k)
         f = prod
     return f
+
+
+def rref_dense(matrix, p):
+    """Reduced row echelon form mod p with a full-matrix update per pivot."""
+    a = np.array(matrix, dtype=np.int64) % p
+    if a.ndim != 2:
+        raise ValueError("matrix must be 2-dimensional")
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a = (a - np.outer(col, a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def kernel_basis_dense(matrix, p):
+    """Reduced-echelon null space basis mod p, one vector per free column."""
+    a = np.array(matrix, dtype=np.int64)
+    ncols = a.shape[1]
+    red, pivots = rref_dense(a, p) if a.shape[0] else (a % p, [])
+    vectors = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = np.zeros(ncols, dtype=np.int64)
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = (-int(red[r, f])) % p
+        vectors.append(v)
+    if not vectors:
+        return []
+    echelon, _ = rref_dense(np.array(vectors), p)
+    return [row for row in echelon if row.any()]
+
+
+def invariant_dimension_stacked(cfg, d, group):
+    """invariant_dimension as the kernel of all dense (g - id) blocks stacked."""
+    basis = degree_basis(cfg, d)
+    if not basis:
+        return 0, []
+    if not group.generators:
+        return len(basis), [ExtClass(cfg, {mask: {mono: 1}}) for mask, mono in basis]
+    index = {b: i for i, b in enumerate(basis)}
+    size = len(basis)
+    blocks = []
+    for g in group.generators:
+        m = np.zeros((size, size), dtype=np.int64)
+        for col, (mask, mono) in enumerate(basis):
+            y = substitute_linear(g, ExtClass(cfg, {mask: {mono: 1}}))
+            for ymask, ypoly in y.parts.items():
+                for ymono, c in ypoly.items():
+                    m[index[(ymask, ymono)], col] = c
+        m -= np.identity(size, dtype=np.int64)
+        blocks.append(m % cfg.p)
+    classes = []
+    for vec in kernel_basis_dense(np.vstack(blocks), cfg.p):
+        parts = {}
+        for i, c in enumerate(vec):
+            if c:
+                mask, mono = basis[i]
+                parts.setdefault(mask, {})[mono] = int(c)
+        classes.append(ExtClass(cfg, parts))
+    return len(classes), classes

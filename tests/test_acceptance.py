@@ -125,7 +125,7 @@ def test_criterion_05_low_degree_invariant_bases():
 
 def test_criterion_06_free_module_desk_check():
     with criterion(6, "invariant dimensions match the free-module series", budget=120.0):
-        for p, n, dmax in [(3, 2, 20), (3, 3, 12)]:
+        for p, n, dmax in [(3, 2, 20), (3, 3, 12), (3, 4, 20)]:
             cfg = Config(p, n)
             sl = group_generators(cfg, "SL")
             for d in range(dmax + 1):

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -70,6 +71,21 @@ class TestExteriorProduct:
                 z = random_class(rng, cfg)
                 assert (x * y) * z == x * (y * z)
                 assert x * (y + z) == x * y + x * z
+
+    def test_products_share_no_dicts_with_their_operands(self, rng):
+        for cfg in CONFIGS:
+            one = ExtClass.one(cfg)
+            for _ in range(6):
+                x = random_class(rng, cfg, max_terms=16, max_exp=5)
+                y = random_class(rng, cfg, max_terms=16, max_exp=5)
+                for a, b in [(x, y), (y, x), (x, one), (one, x), (x, x)]:
+                    before = (copy.deepcopy(a.parts), copy.deepcopy(b.parts))
+                    product = a * b
+                    for poly in product.parts.values():
+                        for mono in list(poly):
+                            poly[mono] = 0
+                        poly[(99,) * cfg.n] = 1
+                    assert (a.parts, b.parts) == before
 
     def test_scalar_and_power_arithmetic(self):
         cfg = Config(5, 2)

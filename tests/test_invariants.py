@@ -21,8 +21,10 @@ from milnorq import (
     substitute_linear,
 )
 from milnorq import invariants
+from milnorq.algebra import LinearSubst
 from milnorq.invariants import (
     GroupSpec,
+    check_invariant_matrix_bytes,
     decomposition_text,
     degree_basis,
     degree_basis_size,
@@ -30,7 +32,11 @@ from milnorq.invariants import (
     ring_generators,
 )
 from conftest import random_homogeneous_poly, random_subst
-from oracles import dickson_polynomial_naive, dickson_polynomial_shift
+from oracles import (
+    dickson_polynomial_naive,
+    dickson_polynomial_shift,
+    invariant_dimension_stacked,
+)
 
 
 class TestDicksonPolynomial:
@@ -283,6 +289,53 @@ class TestInvariantDimension:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
+
+    @pytest.mark.parametrize(
+        "p, n, dmax, pairs",
+        [
+            (5, 2, 10, [(1, 2)]),
+            (3, 3, 8, [(1, 2)]),
+            (3, 4, 5, [(1, 2)]),
+            (3, 3, 8, [(1, 2), (1, 3)]),
+        ],
+    )
+    def test_transvection_groups_match_the_stacked_route(self, p, n, dmax, pairs):
+        # one or two transvections fix a lot in every grade: many basis
+        # vectors, spread over several numbers of dt factors
+        cfg = Config(p, n)
+        group = GroupSpec("T", cfg, tuple(LinearSubst.transvection(cfg, i, j) for i, j in pairs))
+        spread = 0
+        for d in range(dmax + 1):
+            got = invariant_dimension(cfg, d, group)
+            assert got == invariant_dimension_stacked(cfg, d, group), d
+            grades = {mask.bit_count() for x in got[1] for mask in x.parts}
+            spread += got[0] >= 2 and len(grades) >= 2
+        assert spread >= dmax // 2
+
+    @pytest.mark.parametrize(
+        "p, n, kind, dmax", [(3, 2, "GL", 16), (3, 2, "SL", 16), (3, 3, "SL", 8)]
+    )
+    def test_matches_the_stacked_route(self, p, n, kind, dmax):
+        cfg = Config(p, n)
+        group = group_generators(cfg, kind)
+        for d in range(dmax + 1):
+            got = invariant_dimension(cfg, d, group)
+            assert got == invariant_dimension_stacked(cfg, d, group), (kind, d)
+
+    def test_peak_memory_stays_under_the_guard_estimate(self):
+        # the guard prices the dense stack of 12 blocks of 680 x 680 int64
+        cfg = Config(3, 4)
+        group = group_generators(cfg, "SL")
+        check_invariant_matrix_bytes(cfg, 14, group)
+        estimate = 2 * len(group.generators) * degree_basis_size(cfg, 14) ** 2 * 8
+        assert estimate == 88_780_800
+        tracemalloc.start()
+        try:
+            invariant_dimension(cfg, 14, group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < estimate
 
     def test_degree_zero(self):
         for cfg in (Config(3, 2), Config(5, 3)):
