@@ -33,7 +33,6 @@ from .exprio import class_from_json, class_to_json, parse_class, render_class
 from .invariants import (
     DicksonSet,
     GroupSpec,
-    XPoly,
     dickson_classes,
     dickson_polynomial,
     group_generators,
@@ -79,7 +78,6 @@ __all__ = [
     "total_reduced_power",
     "apply_word",
     "parse_op_word",
-    "XPoly",
     "DicksonSet",
     "GroupSpec",
     "dickson_polynomial",

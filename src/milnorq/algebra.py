@@ -50,23 +50,26 @@ def _check_cfg(a, b):
         raise ConfigMismatchError(f"config mismatch: {a} vs {b}")
 
 
-# Koszul sign of dt_A * dt_B for subset bitmasks A, B < 16 (n <= 4):
-# 0 on overlap, else (-1)^{#inversions} for merging the ascending lists.
-def _merge_sign_slow(a, b):
-    if a & b:
-        return 0
+def _perm_sign(perm):
+    """(-1)^(number of inversions) of a sequence of distinct values."""
     sign = 1
-    bb = b
-    while bb:
-        low = bb & -bb
-        j = low.bit_length() - 1
-        if (a >> (j + 1)).bit_count() & 1:
-            sign = -sign
-        bb ^= low
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
     return sign
 
 
-_SIGN = [[_merge_sign_slow(a, b) for b in range(16)] for a in range(16)]
+def _bits(mask):
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+# Koszul sign of dt_A * dt_B for subset bitmasks A, B < 16 (n <= 4): 0 on
+# overlap, else the sign of the merge that sorts A's indices followed by B's.
+_SIGN = [
+    [0 if a & b else _perm_sign(_bits(a) + _bits(b)) for b in range(16)]
+    for a in range(16)
+]
 
 
 def term_degree(mask, mono):
@@ -203,11 +206,6 @@ class ExtClass:
 
     def is_polynomial(self):
         return all(mask == 0 for mask in self.parts)
-
-    def polynomial_part(self):
-        """The summand with empty exterior subset."""
-        poly = self.parts.get(0)
-        return ExtClass(self.cfg, {0: dict(poly)} if poly else {})
 
     def constant_term(self):
         return self.parts.get(0, {}).get(self.cfg.zero_mono, 0)
@@ -441,15 +439,6 @@ def _det_mod_p(rows, p):
             prod = (prod * rows[i][perm[i]]) % p
         det = (det + sign * prod) % p
     return det
-
-
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def _mat_inv(rows, p):

@@ -10,13 +10,12 @@ it are detected through divisibility-by-(1+v) profiles.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .algebra import ExtClass, LinearSubst, substitute_linear
 from .backend import add_into
 from .errors import ConsistencyError, ResourceGuardError
 from .invariants import (
-    DESK_SCALE_POINTS,
+    _guard_points,
     group_generators,
     is_invariant,
     moore_class,
@@ -115,10 +114,7 @@ class WeightMultiset:
 
 def regular_representation(cfg):
     """Every weight of V_n with multiplicity one (the zero weight included)."""
-    if cfg.p**cfg.n > DESK_SCALE_POINTS:
-        raise ResourceGuardError(
-            f"p^n = {cfg.p ** cfg.n} exceeds the desk-scale bound {DESK_SCALE_POINTS}"
-        )
+    _guard_points(cfg)
     return WeightMultiset(
         cfg, {v: 1 for v in itertools.product(range(cfg.p), repeat=cfg.n)}
     )
@@ -132,11 +128,6 @@ def total_chern(rho):
         factor = ExtClass.one(cfg) + ExtClass.linear_form(cfg, v)
         result = result * factor**m
     return result
-
-
-@lru_cache(maxsize=None)
-def _chern_of_regular(cfg):
-    return total_chern(regular_representation(cfg))
 
 
 def _require_unital_poly(x):
@@ -226,7 +217,7 @@ def power_of_regular(x, cfg=None):
     if d % reg_degree:
         return None
     a = d // reg_degree
-    return a if _chern_of_regular(cfg) ** a == x else None
+    return a if total_chern(regular_representation(cfg)) ** a == x else None
 
 
 def image_generator(cfg, case):

@@ -136,7 +136,7 @@ def cmd_hilbert(args):
     group = group_generators(cfg, args.group)
     ring = "SM" if group.kind == "SL" else "M"
     for d in range(args.max_degree + 1):
-        check_invariant_matrix_bytes(cfg, d, group)  # refuse before any work
+        check_invariant_matrix_bytes(cfg, d)  # refuse before any work
     rows = []
     for d in range(args.max_degree + 1):
         dim, _ = invariant_dimension(cfg, d, group)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from .algebra import Config, ExtClass
+from .algebra import Config, ExtClass, _perm_sign
 from .errors import ParseError
 
 _TOKEN = re.compile(
@@ -118,14 +118,7 @@ class _Parser:
         if not saw_number and not dts and not any(exps):
             raise ParseError("expected a term", self.pos())
         # Koszul sign for exterior factors written out of ascending order
-        inversions = sum(
-            1
-            for a in range(len(dts))
-            for b in range(a + 1, len(dts))
-            if dts[a] > dts[b]
-        )
-        if inversions % 2:
-            coeff = -coeff
+        coeff *= _perm_sign(dts)
         mask = 0
         for k in dts:
             mask |= 1 << (k - 1)
@@ -163,7 +156,7 @@ def parse_class(text, cfg):
 
 def _factor_text(mask, mono):
     factors = [f"t{j + 1}" + (f"^{e}" if e > 1 else "") for j, e in enumerate(mono) if e]
-    factors += [f"dt{k + 1}" for k in range(16) if mask >> k & 1]
+    factors += [f"dt{k + 1}" for k in range(len(mono)) if mask >> k & 1]
     return "*".join(factors)
 
 

@@ -1,11 +1,12 @@
 """Dickson/Mui invariant theory for GL_n(F_p) and SL_n(F_p).
 
-Centerpieces: the product f_n(X) = prod_{v in V_n} (X + v), whose only
-nonzero coefficients sit at X-exponents p^0..p^n and define the Dickson
-classes c_{n,i}; the class e_n = Q_0...Q_{n-1}(dt_1...dt_n), equal to a
-Moore determinant, which transforms by the determinant character; and the
-per-degree linear algebra that makes invariance, membership and dimension
-questions executable.
+Centerpieces: the product f_n(X) = prod_{v in V_n} (X + v), kept as one
+sparse polynomial of milnorq.backend in the variables (X, t_1, ..., t_n),
+whose only nonzero coefficients sit at X-exponents p^0..p^n and define the
+Dickson classes c_{n,i}; the class e_n = Q_0...Q_{n-1}(dt_1...dt_n), equal
+to a Moore determinant, which transforms by the determinant character; and
+the per-degree linear algebra that makes invariance, membership and
+dimension questions executable.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .algebra import (
     Config,
     ExtClass,
     LinearSubst,
+    _perm_sign,
     _term_sort_key,
     substitute_linear,
 )
@@ -30,119 +32,35 @@ from .linalg import kernel_basis, solve
 from .steenrod import apply_word
 
 DESK_SCALE_POINTS = 400  # refuse group-size work beyond p^n of this size
-INVARIANT_MATRIX_BYTES = 1 << 30  # bound on the dense-stack estimate, see below
-
-
-# -- sparse polynomials in the format of milnorq.backend -------------------
-
-
-def _poly_one(cfg):
-    return {cfg.zero_mono: 1}
-
-
-def _poly_frobenius(poly, p):
-    # (sum c * t^m)^p = sum c * t^(p*m) over F_p
-    return {tuple(v * p for v in mono): c for mono, c in poly.items()}
-
-
-class XPoly:
-    """An element of Z/p[t_1..t_n][X]: X-exponent -> sparse polynomial."""
-
-    __slots__ = ("cfg", "coeffs")
-
-    def __init__(self, cfg, coeffs=None):
-        self.cfg = cfg
-        self.coeffs = {} if coeffs is None else coeffs
-
-    @classmethod
-    def x(cls, cfg):
-        return cls(cfg, {1: _poly_one(cfg)})
-
-    @classmethod
-    def one(cls, cfg):
-        return cls(cfg, {0: _poly_one(cfg)})
-
-    def coefficient(self, e):
-        """The coefficient of X^e as an ExtClass (polynomial part only)."""
-        poly = self.coeffs.get(e)
-        return ExtClass(self.cfg, {0: dict(poly)} if poly else {})
-
-    def support(self):
-        return sorted(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        return self.cfg == other.cfg and self.coeffs == other.coeffs
-
-    def __mul__(self, other):
-        p = self.cfg.p
-        out = {}
-        for ea, pa in self.coeffs.items():
-            for eb, pb in other.coeffs.items():
-                add_into(out.setdefault(ea + eb, {}), poly_mul(pa, pb, p), 1, p)
-        return XPoly(self.cfg, {e: poly for e, poly in out.items() if poly})
-
-    def __sub__(self, other):
-        p = self.cfg.p
-        out = {e: dict(poly) for e, poly in self.coeffs.items()}
-        for e, poly in other.coeffs.items():
-            add_into(out.setdefault(e, {}), poly, -1, p)
-        return XPoly(self.cfg, {e: poly for e, poly in out.items() if poly})
-
-    def frobenius(self):
-        """Raise to the p-th power (additive polynomials stay additive)."""
-        p = self.cfg.p
-        return XPoly(
-            self.cfg, {e * p: _poly_frobenius(poly, p) for e, poly in self.coeffs.items()}
-        )
-
-    def scale_poly(self, factor):
-        p = self.cfg.p
-        out = {}
-        for e, poly in self.coeffs.items():
-            prod = poly_mul(poly, factor, p)
-            if prod:
-                out[e] = prod
-        return XPoly(self.cfg, out)
-
-    def evaluate_at_var(self, k):
-        """Substitute X = t_k (1-based); returns a sparse polynomial dict."""
-        out = {}
-        for e, poly in self.coeffs.items():
-            shifted = {
-                mono[: k - 1] + (mono[k - 1] + e,) + mono[k:]: c
-                for mono, c in poly.items()
-            }
-            add_into(out, shifted, 1, self.cfg.p)
-        return out
-
-    def __repr__(self):
-        body = " + ".join(f"({self.coefficient(e)})*X^{e}" for e in self.support())
-        return f"<XPoly {body or '0'}>"
+INVARIANT_MATRIX_BYTES = 1 << 30  # bound on the grade-solver estimate, see below
+GRADE_PEAK_FACTOR = 4  # measured peak bytes / (8 x G^2) is 3.0-3.5, see below
 
 
 def _guard_points(cfg):
+    """Refuse group-size work at more than DESK_SCALE_POINTS vectors p^n."""
     if cfg.p**cfg.n > DESK_SCALE_POINTS:
         raise ResourceGuardError(
             f"p^n = {cfg.p ** cfg.n} exceeds the desk-scale bound {DESK_SCALE_POINTS}"
         )
 
 
-@lru_cache(maxsize=None)
 def dickson_polynomial(cfg):
     """The expanded product f_n(X) over all p^n vectors of V_n.
 
-    Computed one variable at a time: f_n is additive in X, so
+    The result is a sparse polynomial in the format of milnorq.backend in
+    n + 1 variables, X first: each key is (e_X, e_1, ..., e_n).  Computed
+    one variable at a time: f_n is additive in X, so
     f_k(X) = f_{k-1}(X)^p - f_{k-1}(t_k)^(p-1) * f_{k-1}(X).
     """
     _guard_points(cfg)
-    p = cfg.p
-    f = XPoly.x(cfg)
-    for k in range(1, cfg.n + 1):
-        c = f.evaluate_at_var(k)
-        cpow = poly_pow(c, p - 1, p, cfg.n)
-        f = f.frobenius() - f.scale_poly(cpow)
+    p, n = cfg.p, cfg.n
+    f = {(1,) + cfg.zero_mono: 1}
+    for k in range(1, n + 1):
+        # f_{k-1}(t_k): the X exponent moves onto t_k, which f_{k-1} lacks
+        at_tk = {(0,) + m[1:k] + (m[0],) + m[k + 1:]: c for m, c in f.items()}
+        frobenius = {tuple(e * p for e in m): c for m, c in f.items()}
+        scale = poly_pow(at_tk, p - 1, p, n + 1)
+        f = add_into(frobenius, poly_mul(scale, f, p), -1, p)
     return f
 
 
@@ -174,15 +92,10 @@ def moore_class(cfg):
     p, n = cfg.p, cfg.n
     terms = []
     for perm in itertools.permutations(range(n)):
-        sign = 1
-        for a in range(n):
-            for b in range(a + 1, n):
-                if perm[a] > perm[b]:
-                    sign = -sign
         mono = [0] * n
         for i in range(n):
             mono[perm[i]] += p ** (n - 1 - i)
-        terms.append((0, tuple(mono), sign))
+        terms.append((0, tuple(mono), _perm_sign(perm)))
     return ExtClass.from_terms(cfg, terms)
 
 
@@ -190,18 +103,20 @@ def moore_class(cfg):
 def dickson_classes(cfg):
     """Extract the Dickson set from f_n and validate all its invariants."""
     p, n = cfg.p, cfg.n
-    f = dickson_polynomial(cfg)
+    coeffs = {}  # X-exponent -> its coefficient, a polynomial in t_1..t_n
+    for mono, c in dickson_polynomial(cfg).items():
+        coeffs.setdefault(mono[0], {})[mono[1:]] = c
     allowed = {p**i for i in range(n + 1)}
-    if set(f.support()) - allowed:
+    if set(coeffs) - allowed:
         raise ConsistencyError(
-            f"f_n support {f.support()} is not contained in p-powers {sorted(allowed)}"
+            f"f_n support {sorted(coeffs)} is not contained in p-powers {sorted(allowed)}"
         )
-    if f.coefficient(p**n) != ExtClass.one(cfg):
+    if coeffs.get(p**n) != {cfg.zero_mono: 1}:
         raise ConsistencyError("top coefficient of f_n is not 1")
     cs = []
     for i in range(n - 1, -1, -1):
-        ci = f.coefficient(p**i).scale((-1) ** (n - i))
-        cs.append(ci)
+        poly = coeffs.get(p**i)
+        cs.append(ExtClass(cfg, {0: poly} if poly else {}).scale((-1) ** (n - i)))
     e = apply_word([("Q", i) for i in range(n)], ExtClass.dt_top(cfg))
     _validate_dickson(cfg, e, cs)
     return DicksonSet(cfg, e, tuple(cs))
@@ -305,14 +220,19 @@ def degree_basis(cfg, d):
     return basis
 
 
-def degree_basis_size(cfg, d):
-    """len(degree_basis(cfg, d)), counted without building the basis."""
+def grade_sizes(cfg, d):
+    """Sizes of the exterior grades of degree_basis(cfg, d), in basis order.
+
+    A grade is the run of basis elements with the same number of dt
+    factors; the basis lists the grades from the fewest dt factors up.
+    Counted by binomials, without building the basis.
+    """
     n = cfg.n
-    return sum(
+    return [
         math.comb(n, r) * math.comb((d - r) // 2 + n - 1, n - 1)
         for r in range(min(n, d) + 1)
         if (d - r) % 2 == 0
-    )
+    ]
 
 
 def ring_generators(cfg, ring):
@@ -438,25 +358,25 @@ def orbit_size(cfg, group, start):
     return len(seen)
 
 
-def check_invariant_matrix_bytes(cfg, d, group):
-    """Raise ResourceGuardError unless invariant_dimension(cfg, d, group)
-    fits under INVARIANT_MATRIX_BYTES by a conservative estimate.
+def check_invariant_matrix_bytes(cfg, d):
+    """Raise ResourceGuardError unless invariant_dimension at degree d fits
+    under INVARIANT_MATRIX_BYTES by an estimate of its peak.
 
-    The estimate is the cost of the dense route that stacks one
-    columns x columns int64 (g - id) block per generator: the blocks and
-    their stack, 2 x generators x columns^2 x 8 bytes.  invariant_dimension
-    works one exterior grade and one generator at a time, so it allocates
-    far less than this; the estimate only fixes which inputs are refused.
-    Nothing is allocated here: the column count comes from
-    degree_basis_size, not from the basis.
+    invariant_dimension solves one exterior grade at a time, and its
+    largest arrays are square in the size G of the grade: the first
+    generator's G x G int64 matrix of g.v - v and the copies that rref and
+    kernel_basis make of it.  The estimate is GRADE_PEAK_FACTOR x G^2 x 8
+    bytes for the largest grade: with G from 500 to 2,730 (SL and GL at
+    (3, 4), SL at (5, 3) and (97, 4)) the tracemalloc peak is
+    3.0-3.5 x G^2 x 8 bytes.  Nothing is allocated here: the grade sizes
+    come from grade_sizes, not from the basis.
     """
-    columns = degree_basis_size(cfg, d)
-    needed = 2 * len(group.generators) * columns * columns * 8
+    size = max(grade_sizes(cfg, d))
+    needed = GRADE_PEAK_FACTOR * size * size * 8
     if needed > INVARIANT_MATRIX_BYTES:
         raise ResourceGuardError(
-            f"degree-{d} invariants need {len(group.generators)} dense "
-            f"{columns}x{columns} matrices and their stack, {needed} bytes; "
-            f"bound is {INVARIANT_MATRIX_BYTES}"
+            f"degree-{d} invariants need {size}x{size} int64 matrices, "
+            f"about {needed} bytes; bound is {INVARIANT_MATRIX_BYTES}"
         )
 
 
@@ -503,7 +423,7 @@ def invariant_dimension(cfg, d, group):
     and the grades sit on disjoint, ordered coordinates, so together they
     give the reduced echelon basis of the whole kernel.
     """
-    check_invariant_matrix_bytes(cfg, d, group)
+    check_invariant_matrix_bytes(cfg, d)
     p = cfg.p
     basis = degree_basis(cfg, d)
     classes = []

@@ -66,4 +66,9 @@ def random_subst(rng, cfg):
             continue
 
 
+def x_coefficient(cfg, f, e):
+    """The coefficient of X^e in f, a polynomial keyed (e_X, e_1, ..., e_n)."""
+    return ExtClass.from_terms(cfg, [(0, m[1:], c) for m, c in f.items() if m[0] == e])
+
+
 CONFIGS = [Config(3, 2), Config(5, 2), Config(3, 3)]

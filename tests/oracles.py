@@ -2,7 +2,8 @@
 
 - The Dickson polynomial f_n: the library uses the additive recursion in
   invariants.dickson_polynomial; these oracles expand the defining product
-  directly, so agreement checks the recursion.
+  directly, so agreement checks the recursion.  Like the library, they
+  return a sparse polynomial of milnorq.backend keyed (e_X, e_1, ..., e_n).
 - Row reduction mod p: rref_dense rewrites the whole matrix at every pivot,
   where linalg.rref updates only the rows and columns that change.
 - Invariants: invariant_dimension_stacked solves one stacked system of all
@@ -16,58 +17,45 @@ import math
 import numpy as np
 
 from milnorq.algebra import ExtClass, substitute_linear
-from milnorq.invariants import XPoly, _guard_points, _poly_one, degree_basis
+from milnorq.backend import poly_mul
+from milnorq.invariants import _guard_points, degree_basis
 
 
 def dickson_polynomial_naive(cfg):
     """The literal p^n-factor product of (X + v)."""
     _guard_points(cfg)
     p, n = cfg.p, cfg.n
-    f = XPoly.one(cfg)
+    f = {(0,) * (n + 1): 1}
     for v in itertools.product(range(p), repeat=n):
-        poly = {}
+        factor = {(1,) + (0,) * n: 1}
         for j, cj in enumerate(v):
             if cj:
-                mono = tuple(1 if i == j else 0 for i in range(n))
-                poly[mono] = cj
-        factor = {1: _poly_one(cfg)}
-        if poly:
-            factor[0] = poly
-        f = f * XPoly(cfg, factor)
+                factor[tuple(1 if i == j + 1 else 0 for i in range(n + 1))] = cj
+        f = poly_mul(f, factor, p)
     return f
 
 
-def substitute_x_shift(f, lam, k):
+def substitute_x_shift(f, lam, k, p):
     """Substitute X = X + lam * t_k (1-based) in f; binomial expansion."""
-    p = f.cfg.p
     out = {}
-    for e, poly in f.coeffs.items():
+    for mono, c in f.items():
+        e = mono[0]
         for r in range(e + 1):
-            b = (math.comb(e, r) * pow(lam, e - r, p)) % p
-            if not b:
-                continue
-            target = out.setdefault(r, {})
-            for mono, c in poly.items():
-                m1 = list(mono)
-                m1[k - 1] += e - r
-                m1 = tuple(m1)
-                v = (target.get(m1, 0) + b * c) % p
-                if v:
-                    target[m1] = v
-                else:
-                    target.pop(m1, None)
-    return XPoly(f.cfg, {e: poly for e, poly in out.items() if poly})
+            key = (r,) + mono[1:k] + (mono[k] + e - r,) + mono[k + 1:]
+            b = math.comb(e, r) * pow(lam, e - r, p)
+            out[key] = (out.get(key, 0) + b * c) % p
+    return {key: c for key, c in out.items() if c}
 
 
 def dickson_polynomial_shift(cfg):
     """The recursion f_n(X) = prod_lam f_{n-1}(X + lam*t_n)."""
     _guard_points(cfg)
-    p = cfg.p
-    f = XPoly.x(cfg)
-    for k in range(1, cfg.n + 1):
-        prod = XPoly.one(cfg)
+    p, n = cfg.p, cfg.n
+    f = {(1,) + (0,) * n: 1}
+    for k in range(1, n + 1):
+        prod = {(0,) * (n + 1): 1}
         for lam in range(p):
-            prod = prod * substitute_x_shift(f, lam, k)
+            prod = poly_mul(prod, substitute_x_shift(f, lam, k, p), p)
         f = prod
     return f
 

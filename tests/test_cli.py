@@ -183,7 +183,7 @@ class TestExitCodes:
         assert "resource guard" in err
 
     def test_hilbert_refuses_matrices_beyond_the_byte_bound(self, capsys, monkeypatch):
-        # degree 40 at (97, 4) would need about 29 GB of dense matrices; the
+        # degree 40 at (97, 4) would need about 2.7 GB of matrices; the
         # guard must refuse before any degree is computed
         def unreachable(*args):
             raise AssertionError("the guard let the call through")

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from milnorq import (
@@ -28,6 +30,23 @@ class TestParse:
         cfg = Config(3, 3)
         assert parse_class("dt2*dt1", cfg) == -parse_class("dt1*dt2", cfg)
         assert parse_class("dt3*dt1*dt2", cfg) == parse_class("dt1*dt2*dt3", cfg)
+
+    def test_every_order_of_four_dts_matches_the_product(self):
+        cfg = Config(3, 4)
+        for order in itertools.permutations(range(1, 5)):
+            # the sign is (-1)^(adjacent swaps that bubble sort needs)
+            seq, swaps = list(order), 0
+            for end in range(len(seq) - 1, 0, -1):
+                for j in range(end):
+                    if seq[j] > seq[j + 1]:
+                        seq[j], seq[j + 1] = seq[j + 1], seq[j]
+                        swaps += 1
+            product = ExtClass.one(cfg)
+            for k in order:
+                product = product * ExtClass.dt(cfg, k)
+            text = "*".join(f"dt{k}" for k in order)
+            expected = ExtClass.dt_top(cfg).scale((-1) ** swaps)
+            assert parse_class(text, cfg) == product == expected, order
 
     def test_repeated_dt_is_rejected(self):
         cfg = Config(3, 2)

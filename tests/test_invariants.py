@@ -1,9 +1,11 @@
+import itertools
 import tracemalloc
 
 import pytest
 
 from milnorq import (
     Config,
+    ConsistencyError,
     ExtClass,
     ResourceGuardError,
     apply_word,
@@ -27,11 +29,11 @@ from milnorq.invariants import (
     check_invariant_matrix_bytes,
     decomposition_text,
     degree_basis,
-    degree_basis_size,
+    grade_sizes,
     primitive_root,
     ring_generators,
 )
-from conftest import random_homogeneous_poly, random_subst
+from conftest import random_homogeneous_poly, random_subst, x_coefficient
 from oracles import (
     dickson_polynomial_naive,
     dickson_polynomial_shift,
@@ -43,19 +45,19 @@ class TestDicksonPolynomial:
     def test_rank_one_explicit(self):
         cfg = Config(3, 1)
         f = dickson_polynomial(cfg)
-        assert f.support() == [1, 3]
-        assert f.coefficient(3) == ExtClass.one(cfg)
-        assert f.coefficient(1) == -(ExtClass.t(cfg, 1) ** 2)
+        # X^3 - t_1^2 X, keyed (e_X, e_1)
+        assert f == {(3, 0): 1, (1, 2): 2}
+        assert x_coefficient(cfg, f, 1) == -(ExtClass.t(cfg, 1) ** 2)
         assert f == dickson_polynomial_naive(cfg)
 
     def test_rank_two_support_and_bottom_coefficient(self):
         cfg = Config(3, 2)
         f = dickson_polynomial(cfg)
-        assert f.support() == [1, 3, 9]
+        assert sorted({mono[0] for mono in f}) == [1, 3, 9]
         e2 = apply_word([("Q", 0), ("Q", 1)], ExtClass.dt_top(cfg))
         # (-1)^n c_{n,0} is the coefficient of X, and c_{2,0} = e2^2
-        assert f.coefficient(1) == e2 * e2
-        assert not f.coefficient(2)
+        assert x_coefficient(cfg, f, 1) == e2 * e2
+        assert not x_coefficient(cfg, f, 2)
 
     @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2)])
     def test_recursion_equals_naive_product(self, p, n):
@@ -75,6 +77,17 @@ class TestDicksonClasses:
         ds = dickson_classes(cfg)
         assert ds.e == ExtClass.t(cfg, 1)
         assert list(ds.c) == [ExtClass.t(cfg, 1) ** 2]
+
+    def test_rejects_f_outside_the_p_power_shape(self, monkeypatch):
+        cfg = Config(3, 2)
+        f = dickson_polynomial(cfg)
+        for bad, message in [
+            ({**f, (2, 1, 1): 1}, "not contained in p-powers"),  # an X^2 term
+            ({**f, (9, 0, 0): 2}, "top coefficient"),  # -X^9 on top
+        ]:
+            monkeypatch.setattr(invariants, "dickson_polynomial", lambda cfg, bad=bad: bad)
+            with pytest.raises(ConsistencyError, match=message):
+                dickson_classes.__wrapped__(cfg)  # past the cache
 
     def test_rank_two_values(self):
         cfg = Config(3, 2)
@@ -270,10 +283,12 @@ class TestInvariantDimension:
         for n in range(1, 5):
             cfg = Config(3, n)
             for d in range(0, 25):
-                assert degree_basis_size(cfg, d) == len(degree_basis(cfg, d)), (n, d)
+                basis = degree_basis(cfg, d)
+                runs = itertools.groupby(basis, key=lambda b: b[0].bit_count())
+                assert grade_sizes(cfg, d) == [len(list(r)) for _, r in runs], (n, d)
 
     def test_matrix_guard_refuses_before_allocating(self, monkeypatch):
-        # 12 generators and 12,341 columns: 2 x 12 x 12,341^2 x 8 B = 29 GB
+        # the largest grade has 9,240 elements: 4 x 9,240^2 x 8 B = 2.7 GB
         cfg = Config(97, 4)
         group = group_generators(cfg, "SL")
 
@@ -283,7 +298,7 @@ class TestInvariantDimension:
         monkeypatch.setattr(invariants, "degree_basis", unreachable)
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceGuardError, match="12341x12341"):
+            with pytest.raises(ResourceGuardError, match="9240x9240"):
                 invariant_dimension(cfg, 40, group)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -323,19 +338,20 @@ class TestInvariantDimension:
             assert got == invariant_dimension_stacked(cfg, d, group), (kind, d)
 
     def test_peak_memory_stays_under_the_guard_estimate(self):
-        # the guard prices the dense stack of 12 blocks of 680 x 680 int64
+        # the guard prices G x G int64 matrices for the largest grade G
         cfg = Config(3, 4)
         group = group_generators(cfg, "SL")
-        check_invariant_matrix_bytes(cfg, 14, group)
-        estimate = 2 * len(group.generators) * degree_basis_size(cfg, 14) ** 2 * 8
-        assert estimate == 88_780_800
-        tracemalloc.start()
-        try:
-            invariant_dimension(cfg, 14, group)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < estimate
+        for d, estimate in [(14, 8_128_512), (20, 55_756_800)]:
+            check_invariant_matrix_bytes(cfg, d)
+            size = max(grade_sizes(cfg, d))
+            assert invariants.GRADE_PEAK_FACTOR * size * size * 8 == estimate
+            tracemalloc.start()
+            try:
+                invariant_dimension(cfg, d, group)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < estimate, d
 
     def test_degree_zero(self):
         for cfg in (Config(3, 2), Config(5, 3)):
