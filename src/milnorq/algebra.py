@@ -259,8 +259,6 @@ class ExtClass:
         c %= self.cfg.p
         if c == 0:
             return ExtClass(self.cfg)
-        if c == 1:
-            return self
         p = self.cfg.p
         return ExtClass(
             self.cfg,
@@ -269,6 +267,10 @@ class ExtClass:
                 for mask, poly in self.parts.items()
             },
         )
+
+    def copy(self):
+        """An equal class that shares no dict with self."""
+        return ExtClass(self.cfg, {mask: dict(poly) for mask, poly in self.parts.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -5,6 +5,21 @@ class is the expanded product of (1 + v) over the weights, a polynomial
 class.  The regular representation contains every weight once, and its
 total Chern class is the alternating sum of the Dickson classes; powers of
 it are detected through divisibility-by-(1+v) profiles.
+
+total_chern splits a multiset as rho = a*reg + rest, a the least
+multiplicity of a nonzero weight when every nonzero weight occurs, else 0.
+c(reg) comes from a product tree over affine cosets (von zur Gathen &
+Gerhard, Modern Computer Algebra, 10.1): the node for a fixed prefix
+(c_1..c_k) of coordinates is the product of (1 + v) over the coset
+u + W, u = c_1 t_1 + ... + c_k t_k and W spanned by t_{k+1}..t_n, and it
+merges the p nodes that fix one coordinate more.  That product is
+f_W(1 + u) for the additive polynomial f_W(X) = prod_{w in W} (X + w)
+= sum_j d_j X^(p^j) (Wilkerson, "A primer on the Dickson invariants",
+1983), so f_W(1 + u) = sum_j d_j (1 + sum_i c_i t_i^(p^j)).  Every node
+is thus sparse, where multiplying the p^n factors into one running product
+in weight order passes through dense partial products.  The tree uses only
+associativity of the product, not the Dickson recursion, so comparing
+c(reg) with the Dickson sum still checks one route against another.
 """
 
 from __future__ import annotations
@@ -12,7 +27,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import ExtClass, LinearSubst, substitute_linear
-from .backend import add_into
+from .backend import add_into, poly_mul, poly_pow
 from .errors import ConsistencyError, ResourceGuardError
 from .invariants import (
     _guard_points,
@@ -120,14 +135,56 @@ def regular_representation(cfg):
     )
 
 
+def _one_plus(v):
+    """The polynomial 1 + v_1 t_1 + ... + v_n t_n as a kernel dict."""
+    n = len(v)
+    poly = {(0,) * n: 1}
+    for k, c in enumerate(v):
+        if c:
+            poly[tuple(int(i == k) for i in range(n))] = c
+    return poly
+
+
+def _regular_chern_poly(cfg):
+    """c(reg) as a kernel dict, by the product tree over affine cosets.
+
+    The leaves are the factors 1 + v in itertools.product order, so p
+    consecutive nodes of a level share every fixed coordinate but their
+    last; merging them gives the level above, down to one node.
+    """
+    p = cfg.p
+    level = [_one_plus(v) for v in itertools.product(range(p), repeat=cfg.n)]
+    while len(level) > 1:
+        merged = []
+        for start in range(0, len(level), p):
+            node = level[start]
+            for child in level[start + 1:start + p]:
+                node = poly_mul(node, child, p)
+            merged.append(node)
+        level = merged
+    return level[0]
+
+
 def total_chern(rho):
-    """Expanded product of (1 + v)^multiplicity; zero weights contribute 1."""
+    """Expanded product of (1 + v)^multiplicity; zero weights contribute 1.
+
+    With rho = a*reg + rest (a = 0 unless every nonzero weight occurs,
+    decided by counting the distinct nonzero weights), the result is
+    c(reg)^a, c(reg) from the coset tree, times the factors of rest
+    multiplied in weight order.  Only the a >= 1 case enumerates V_n, and
+    then rho itself lists p^n - 1 weights.
+    """
     cfg = rho.cfg
-    result = ExtClass.one(cfg)
-    for v, m in rho.items():
-        factor = ExtClass.one(cfg) + ExtClass.linear_form(cfg, v)
-        result = result * factor**m
-    return result
+    p, n = cfg.p, cfg.n
+    nonzero = {v: m for v, m in rho.weights.items() if any(v)}
+    a = min(nonzero.values()) if len(nonzero) == p**n - 1 else 0
+    poly = {cfg.zero_mono: 1}
+    for v, m in sorted(nonzero.items()):
+        if m > a:
+            poly = poly_mul(poly, poly_pow(_one_plus(v), m - a, p, n), p)
+    if a:
+        poly = poly_mul(poly_pow(_regular_chern_poly(cfg), a, p, n), poly, p)
+    return ExtClass(cfg, {0: poly})
 
 
 def _require_unital_poly(x):
@@ -181,10 +238,12 @@ def divisibility_profile(x, cfg=None):
 
     x must be a polynomial class with constant term 1.  The exponent is
     found by a coordinate change taking v to t_1 followed by repeated
-    univariate division by (1 + t_1).
+    univariate division by (1 + t_1).  The loop visits all p^n vectors,
+    so it takes the desk-scale check first.
     """
-    _require_unital_poly(x)
     cfg = x.cfg if cfg is None else cfg
+    _guard_points(cfg)
+    _require_unital_poly(x)
     p, n = cfg.p, cfg.n
     profile = {}
     for v in itertools.product(range(p), repeat=n):

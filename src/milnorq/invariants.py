@@ -99,8 +99,19 @@ def moore_class(cfg):
     return ExtClass.from_terms(cfg, terms)
 
 
-@lru_cache(maxsize=None)
 def dickson_classes(cfg):
+    """The validated Dickson set of cfg, as classes the caller owns.
+
+    The set is extracted and validated once per cfg; each call returns
+    fresh copies of its classes, so changing one cannot alter what a later
+    call returns.
+    """
+    ds = _dickson_set(cfg)
+    return DicksonSet(cfg, ds.e.copy(), tuple(ci.copy() for ci in ds.c))
+
+
+@lru_cache(maxsize=None)
+def _dickson_set(cfg):
     """Extract the Dickson set from f_n and validate all its invariants."""
     p, n = cfg.p, cfg.n
     coeffs = {}  # X-exponent -> its coefficient, a polynomial in t_1..t_n
@@ -120,6 +131,12 @@ def dickson_classes(cfg):
     e = apply_word([("Q", i) for i in range(n)], ExtClass.dt_top(cfg))
     _validate_dickson(cfg, e, cs)
     return DicksonSet(cfg, e, tuple(cs))
+
+
+# as on a function wrapped by lru_cache: cache_info() counts the cache and
+# __wrapped__ is the uncached extraction
+dickson_classes.cache_info = _dickson_set.cache_info
+dickson_classes.__wrapped__ = _dickson_set.__wrapped__
 
 
 def _validate_dickson(cfg, e, cs):

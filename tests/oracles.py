@@ -9,6 +9,9 @@
 - Invariants: invariant_dimension_stacked solves one stacked system of all
   (g - id) blocks over the whole degree, where invariant_dimension works one
   exterior grade and one generator at a time.
+- Total Chern classes: total_chern_sequential multiplies the factors
+  (1 + v)^m into one running product in weight order, where
+  chern.total_chern splits off a*reg and builds c(reg) by a coset tree.
 """
 
 import itertools
@@ -58,6 +61,16 @@ def dickson_polynomial_shift(cfg):
             prod = poly_mul(prod, substitute_x_shift(f, lam, k, p), p)
         f = prod
     return f
+
+
+def total_chern_sequential(rho):
+    """Expanded product of (1 + v)^multiplicity, one weight at a time."""
+    cfg = rho.cfg
+    result = ExtClass.one(cfg)
+    for v, m in rho.items():
+        factor = ExtClass.one(cfg) + ExtClass.linear_form(cfg, v)
+        result = result * factor**m
+    return result
 
 
 def rref_dense(matrix, p):

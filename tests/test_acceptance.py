@@ -43,7 +43,7 @@ from conftest import (
 )
 from oracles import dickson_polynomial_naive
 
-REG_SET = [(3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (5, 3)]
+REG_SET = [(3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (5, 3), (3, 4), (7, 3)]
 
 
 @contextmanager

@@ -87,6 +87,18 @@ class TestExteriorProduct:
                         poly[(99,) * cfg.n] = 1
                     assert (a.parts, b.parts) == before
 
+    def test_scaling_shares_no_dicts_with_the_operand(self, rng):
+        for cfg in CONFIGS:
+            x = random_class(rng, cfg, max_terms=8)
+            before = copy.deepcopy(x.parts)
+            for c in (1, cfg.p + 1, 2, -1):
+                scaled = x.scale(c)
+                assert scaled.parts is not x.parts
+                for poly in scaled.parts.values():
+                    poly.clear()
+                assert x.parts == before
+            assert x * 1 == x and (x * 1).parts is not x.parts
+
     def test_scalar_and_power_arithmetic(self):
         cfg = Config(5, 2)
         t1 = ExtClass.t(cfg, 1)

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milnorq import (
     Config,
@@ -21,8 +23,10 @@ from milnorq import (
     substitute_linear,
     total_chern,
 )
+from milnorq import chern
 from milnorq.chern import WeightMultiset, _coordinate_change
 from conftest import random_subst
+from oracles import total_chern_sequential
 
 
 def random_multiset(rng, cfg, max_weights=4, max_mult=3, nonzero=False):
@@ -120,6 +124,65 @@ class TestTotalChern:
                 assert total_chern(rho.act(g)) == substitute_linear(g, total_chern(rho))
 
 
+# a*reg is drawn only where the sequential oracle stays cheap; at (5,3) and
+# (7,3) c(reg)^a is checked against the Dickson sum below
+SPLIT_CASES = [
+    (p, n, a)
+    for p in (3, 5, 7)
+    for n in (1, 2, 3)
+    for a in (0, 1, 2)
+    if a == 0 or p**n < 125
+]
+
+
+@st.composite
+def split_multisets(draw, cfg, a):
+    """a*reg, perhaps missing one nonzero weight, plus random extras."""
+    p, n = cfg.p, cfg.n
+    nonzero = [v for v in itertools.product(range(p), repeat=n) if any(v)]
+    weights = dict.fromkeys(nonzero, a) if a else {}
+    if a and draw(st.booleans()):
+        del weights[draw(st.sampled_from(nonzero))]
+    vector = st.tuples(*[st.integers(0, p - 1)] * n)
+    for v, m in draw(st.lists(st.tuples(vector, st.integers(1, 3)), max_size=5)):
+        weights[v] = weights.get(v, 0) + m
+    zero = draw(st.integers(0, 2))
+    if zero:
+        weights[(0,) * n] = zero
+    return WeightMultiset(cfg, weights)
+
+
+class TestTreeRoute:
+    @pytest.mark.parametrize("p,n,a", SPLIT_CASES)
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_the_sequential_product(self, p, n, a, data):
+        rho = data.draw(split_multisets(Config(p, n), a))
+        assert total_chern(rho) == total_chern_sequential(rho)
+
+    @pytest.mark.parametrize("p,n,a", [(5, 3, 2), (7, 3, 2)])
+    def test_power_of_regular_times_extras_matches_the_dickson_sum(self, rng, p, n, a):
+        cfg = Config(p, n)
+        ds = dickson_classes(cfg)
+        creg = ExtClass.one(cfg)
+        for idx, ci in enumerate(ds.c):
+            creg = creg + ci.scale((-1) ** (idx + 1))
+        extras = random_multiset(rng, cfg, max_weights=3, max_mult=2)
+        rho = a * regular_representation(cfg) + extras
+        assert total_chern(rho) == creg**a * total_chern_sequential(extras)
+
+    def test_few_weights_never_enumerate_the_group(self, monkeypatch):
+        # 97^4 = 88,529,281 vectors; three weights must not reach c(reg)
+        def unreachable(cfg):
+            raise AssertionError("total_chern enumerated V_n")
+
+        monkeypatch.setattr(chern, "regular_representation", unreachable)
+        monkeypatch.setattr(chern, "_regular_chern_poly", unreachable)
+        cfg = Config(97, 4)
+        rho = WeightMultiset(cfg, {(1, 2, 3, 4): 1, (5, 0, 0, 1): 2, (0, 0, 0, 96): 1})
+        assert total_chern(rho) == total_chern_sequential(rho)
+
+
 class TestRegularRepresentation:
     def test_contains_every_weight_once(self):
         cfg = Config(3, 2)
@@ -170,6 +233,17 @@ class TestDivisibilityProfile:
                 profile = divisibility_profile(total_chern(rho))
                 for v, mu in profile.items():
                     assert mu == rho.weights.get(v, 0)
+
+    def test_resource_guard(self, monkeypatch):
+        # the profile visits all p^n vectors: 97^4 must be refused at once
+        def unreachable(*args):
+            raise AssertionError("the guard let the profile start")
+
+        monkeypatch.setattr(chern, "_coordinate_change", unreachable)
+        cfg = Config(97, 4)
+        x = total_chern(WeightMultiset(cfg, {(1, 2, 3, 4): 1, (0, 0, 0, 96): 1}))
+        with pytest.raises(ResourceGuardError):
+            divisibility_profile(x)
 
     def test_requires_constant_term_one(self):
         cfg = Config(3, 2)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from milnorq import invariants
+from milnorq import chern, invariants
 from milnorq.cli import main
 
 
@@ -151,6 +151,20 @@ class TestWeightsFiles:
         assert profile[(1, 0)] == 2
         assert profile[(0, 1)] == 1
         assert data["power_of_regular"] is None
+
+    def test_mu_refuses_beyond_the_desk_scale(self, capsys, tmp_path, monkeypatch):
+        # the profile would visit all 97^4 vectors; refused at once
+        def unreachable(*args):
+            raise AssertionError("the guard let the profile start")
+
+        monkeypatch.setattr(chern, "_coordinate_change", unreachable)
+        path = tmp_path / "weights.txt"
+        path.write_text("1,2,3,4\n5,0,0,1 x2\n0,0,0,96\n")
+        argv = ["mu", "-p", "97", "-n", "4", "--weights", str(path)]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "resource guard" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(

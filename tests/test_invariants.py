@@ -89,6 +89,22 @@ class TestDicksonClasses:
             with pytest.raises(ConsistencyError, match=message):
                 dickson_classes.__wrapped__(cfg)  # past the cache
 
+    def test_callers_cannot_corrupt_the_cache(self):
+        cfg = Config(3, 2)
+        want = dickson_classes(cfg)
+        want = (want.e.copy(), [ci.copy() for ci in want.c])
+        ds = dickson_classes(cfg)
+        ds.e.parts.clear()
+        for ci in ds.c:
+            for poly in ci.parts.values():
+                poly.clear()
+        dickson_classes(cfg).e.parts[0][(0, 0)] = 1
+        misses = dickson_classes.cache_info().misses
+        ds = dickson_classes(cfg)
+        assert dickson_classes.cache_info().misses == misses  # served by the cache
+        assert (ds.e, list(ds.c)) == want
+        assert ds.e == parse_class("t1^3*t2 - t1*t2^3", cfg)
+
     def test_rank_two_values(self):
         cfg = Config(3, 2)
         ds = dickson_classes(cfg)
