@@ -5,12 +5,22 @@ deg dt_k = 1.  An ExtClass stores, for each exterior subset (a bitmask with
 bit k-1 set when dt_k is present), a sparse polynomial mapping exponent
 tuples to coefficients in 1..p-1.  All values are immutable by convention:
 every operation returns a fresh ExtClass and never mutates its arguments.
+
+A LinearSubst g is kept as its elementary factors, shears (i, j, c) and a
+diagonal d, from one row reduction.  substitute_linear applies the shears in
+order: t_i -> t_i + c*t_j expands t_i^a t_j^b as sum_k C(a, k) c^k
+t_i^(a-k) t_j^(b+k), with C(a, k) mod p from Lucas's theorem, and
+dt_i -> dt_i + c*dt_j gives dt_A, i in A, the extra term
+c * _SIGN[rest][1<<i] * _SIGN[rest][1<<j] dt_(rest + j), rest = A - {i},
+since dt_A = _SIGN[rest][1<<i] dt_rest dt_i (the term is 0 when j is in A).
+The diagonal then scales each term.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .backend import add_into, poly_mul
 from .errors import ConfigMismatchError
@@ -179,30 +189,18 @@ class ExtClass:
         items.sort(key=lambda t: _term_sort_key(t[0], t[1]))
         return iter(items)
 
+    def _degrees(self):
+        return {term_degree(mask, mono) for mask, poly in self.parts.items() for mono in poly}
+
     def degree(self):
         """Top cohomological degree, or None for the zero class."""
-        degs = [
-            term_degree(mask, mono)
-            for mask, poly in self.parts.items()
-            for mono in poly
-        ]
-        return max(degs) if degs else None
+        return max(self._degrees(), default=None)
 
     def min_degree(self):
-        degs = [
-            term_degree(mask, mono)
-            for mask, poly in self.parts.items()
-            for mono in poly
-        ]
-        return min(degs) if degs else 0
+        return min(self._degrees(), default=0)
 
     def is_homogeneous(self):
-        degs = {
-            term_degree(mask, mono)
-            for mask, poly in self.parts.items()
-            for mono in poly
-        }
-        return len(degs) <= 1
+        return len(self._degrees()) <= 1
 
     def is_polynomial(self):
         return all(mask == 0 for mask in self.parts)
@@ -238,14 +236,7 @@ class ExtClass:
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.cfg.p
-        return ExtClass(
-            self.cfg,
-            {
-                mask: {mono: p - c for mono, c in poly.items()}
-                for mask, poly in self.parts.items()
-            },
-        )
+        return self.scale(-1)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -296,10 +287,7 @@ class ExtClass:
                     parts[ma | mb] = {k: p - c for k, c in prod.items()}
         return ExtClass(self.cfg, {m: q for m, q in parts.items() if q})
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # reached only with a non-ExtClass on the left
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
@@ -350,25 +338,28 @@ class LinearSubst:
     The matrix acts on the column vector of generators: the image of t_k is
     sum_j rows[k][j] * t_j, and dt_k maps the same way.  Composition follows
     substitute_linear(g @ h, x) == substitute_linear(g, substitute_linear(h, x)).
+
+    rows == S_1 ... S_m diag(d) for the shears (i, j, c) in `shears`,
+    S = I + c*E_ij (0-based, i != j: t_i -> t_i + c*t_j, dt_i likewise),
+    and d = `diag`; they come from a row reduction by row additions only, so
+    det is prod(d) and inverse() replays the shears in reverse.
     """
 
-    __slots__ = ("cfg", "rows", "det")
+    __slots__ = ("cfg", "rows", "det", "shears", "diag")
 
     def __init__(self, cfg, rows):
         p, n = cfg.p, cfg.n
         rows = tuple(tuple(int(v) % p for v in row) for row in rows)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"matrix must be {n}x{n}")
-        det = _det_mod_p(rows, p)
-        if det == 0:
-            raise ValueError("matrix is singular mod p")
         self.cfg = cfg
         self.rows = rows
-        self.det = det
+        self.shears, self.diag = _shear_factors(rows, p)
+        self.det = math.prod(self.diag) % p
 
     @classmethod
     def identity(cls, cfg):
-        return cls(cfg, [[1 if i == j else 0 for j in range(cfg.n)] for i in range(cfg.n)])
+        return cls.diagonal(cfg, [1] * cfg.n)
 
     @classmethod
     def transvection(cls, cfg, i, j, c=1):
@@ -383,11 +374,7 @@ class LinearSubst:
     def diagonal(cls, cfg, diag):
         if len(diag) != cfg.n:
             raise ValueError("diagonal has wrong length")
-        rows = [
-            [diag[i] % cfg.p if i == j else 0 for j in range(cfg.n)]
-            for i in range(cfg.n)
-        ]
-        return cls(cfg, rows)
+        return cls(cfg, [[d * (i == j) for j in range(cfg.n)] for i, d in enumerate(diag)])
 
     def __eq__(self, other):
         if not isinstance(other, LinearSubst):
@@ -403,14 +390,21 @@ class LinearSubst:
     def __matmul__(self, other):
         """Composite substitution: other applied first, then self."""
         _check_cfg(self.cfg, other.cfg)
-        return LinearSubst(self.cfg, _mat_mul(other.rows, self.rows, self.cfg.p))
+        # row k of other.rows @ self.rows is self's image of the weight row k
+        return LinearSubst(self.cfg, [self.apply_weight(row) for row in other.rows])
 
     def transpose(self):
         n = self.cfg.n
         return LinearSubst(self.cfg, [[self.rows[j][i] for j in range(n)] for i in range(n)])
 
     def inverse(self):
-        return LinearSubst(self.cfg, _mat_inv(self.rows, self.cfg.p))
+        """diag(d)^-1 times the inverse shears I - c*E_ij, last shear first."""
+        p, n = self.cfg.p, self.cfg.n
+        rows = [[pow(d, -1, p) * (a == b) for b in range(n)] for a, d in enumerate(self.diag)]
+        for i, j, c in reversed(self.shears):
+            for row in rows:  # times I - c*E_ij: column j -= c * column i
+                row[j] = (row[j] - c * row[i]) % p
+        return LinearSubst(self.cfg, rows)
 
     def apply_weight(self, v):
         """Image of a weight vector: the coordinates of the substituted linear form.
@@ -423,112 +417,107 @@ class LinearSubst:
         )
 
 
-def _mat_mul(a, b, p):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-        for i in range(n)
-    )
+def _shear_factors(rows, p):
+    """Shears (i, j, c) and a diagonal d with rows == S_1 ... S_m diag(d).
 
-
-def _det_mod_p(rows, p):
+    Gauss-Jordan elimination by row additions only: adding c times row j to
+    row i is left multiplication by I + c*E_ij, recorded as its inverse, the
+    shear (i, j, -c).  A zero pivot takes a lower row added to its own; a
+    column with no pivot means the matrix is singular.
+    """
     n = len(rows)
-    det = 0
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = 1
-        for i in range(n):
-            prod = (prod * rows[i][perm[i]]) % p
-        det = (det + sign * prod) % p
-    return det
+    a = [list(row) for row in rows]
+    shears = []
 
+    def add_row(i, j, c):
+        a[i] = [(x + c * y) % p for x, y in zip(a[i], a[j])]
+        shears.append((i, j, -c % p))
 
-def _mat_inv(rows, p):
-    n = len(rows)
-    aug = [list(rows[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
     for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [(v * inv) % p for v in aug[col]]
+        if not a[col][col]:
+            below = next((r for r in range(col + 1, n) if a[r][col]), None)
+            if below is None:
+                raise ValueError("matrix is singular mod p")
+            add_row(col, below, 1)
+        inv = pow(a[col][col], -1, p)
         for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+            if r != col and a[r][col]:
+                add_row(r, col, -a[r][col] * inv)
+    return tuple(shears), tuple(a[k][k] for k in range(n))
+
+
+@lru_cache(maxsize=4096)
+def _binomials_mod_p(a, kmax, p):
+    """The pairs (k, C(a, k) mod p), ascending, for k <= kmax and C(a, k) != 0 mod p.
+
+    By Lucas's theorem C(a, k) = prod_d C(a_d, k_d) over base-p digits, so k
+    runs over the numbers with every digit at most a's, built from the
+    lowest digit up and dropped as soon as they pass kmax.
+    """
+    row = [(0, 1)]
+    place = 1
+    while a and place <= kmax:
+        a, digit = divmod(a, p)
+        row = [
+            (place * kd + k, math.comb(digit, kd) * b % p)
+            for kd in range(digit + 1)
+            for k, b in row
+            if place * kd + k <= kmax
+        ]
+        place *= p
+    return tuple(row)
+
+
+def _shear(parts, i, j, c, p):
+    """parts under the shear (i, j, c), by the rules in the module docstring."""
+    powers = [pow(c, k, p) for k in range(p - 1)]
+    out = {}
+    for mask, poly in parts.items():
+        image = {}
+        get = image.get
+        for mono, coeff in poly.items():
+            a, b = mono[i], mono[j]
+            m = list(mono)
+            for k, binom in _binomials_mod_p(a, a, p):
+                m[i], m[j] = a - k, b + k
+                key = tuple(m)
+                image[key] = get(key, 0) + coeff * binom * powers[k % (p - 1)]
+        targets = [(mask, 1)]
+        if mask >> i & 1:
+            rest = mask ^ 1 << i
+            sign = _SIGN[rest][1 << i] * _SIGN[rest][1 << j]
+            if sign:
+                targets.append((rest | 1 << j, sign * c))
+        for tmask, scale in targets:
+            target = out.get(tmask)
+            if target is None:
+                # only mask itself may keep image, so no two parts share a dict
+                out[tmask] = image if tmask == mask else {k: scale * v for k, v in image.items()}
+            else:
+                tget = target.get
+                for key, v in image.items():
+                    target[key] = tget(key, 0) + scale * v
+    reduced = ((m, {k: r for k, v in q.items() if (r := v % p)}) for m, q in out.items())
+    return {mask: poly for mask, poly in reduced if poly}
 
 
 def substitute_linear(g, x):
-    """Apply the algebra homomorphism induced by g to x."""
+    """Apply the algebra homomorphism induced by g to x.
+
+    The shears of g act one at a time, in order, by _shear; the diagonal d
+    then scales dt_A t^a by prod_k d_k^(a_k) * prod_(k in A) d_k.
+    """
     _check_cfg(g.cfg, x.cfg)
-    cfg = x.cfg
-    p, n = cfg.p, cfg.n
-    # linear image of each t_k as a sparse polynomial
-    images = []
-    for k in range(n):
-        poly = {}
-        for j, c in enumerate(g.rows[k]):
-            if c:
-                mono = tuple(1 if i == j else 0 for i in range(n))
-                poly[mono] = c
-        images.append(poly)
-    power_cache = {}
-
-    def power(k, e):
-        key = (k, e)
-        cached = power_cache.get(key)
-        if cached is not None:
-            return cached
-        img = images[k]
-        if len(img) == 1:
-            (mono, c), = img.items()
-            result = {tuple(v * e for v in mono): pow(c, e, p)}
-        elif e == 1:
-            result = img
-        else:
-            half = power(k, e // 2)
-            result = poly_mul(half, half, p)
-            if e & 1:
-                result = poly_mul(result, img, p)
-        power_cache[key] = result
-        return result
-
-    parts = {}
-    for mask, poly in x.parts.items():
-        ext_targets = _ext_image(g, mask)
-        if not ext_targets:
-            continue
-        for mono, c in poly.items():
-            img = None
-            for k, e in enumerate(mono):
-                if e:
-                    img = power(k, e) if img is None else poly_mul(img, power(k, e), p)
-            if img is None:
-                img = {cfg.zero_mono: 1}
-            for tmask, tc in ext_targets.items():
-                add_into(parts.setdefault(tmask, {}), img, c * tc, p)
-    return ExtClass(cfg, {m: q for m, q in parts.items() if q})
-
-
-def _ext_image(g, mask):
-    """Expand the exterior product of generator images for a subset bitmask."""
-    p = g.cfg.p
-    out = {0: 1}
-    i = 0
-    m = mask
-    while m:
-        if m & 1:
-            new = {}
-            for m0, c0 in out.items():
-                step = {
-                    m0 | 1 << j: _SIGN[m0][1 << j] * c
-                    for j, c in enumerate(g.rows[i])
-                    if c and not m0 >> j & 1
-                }
-                add_into(new, step, c0, p)
-            out = new
-            if not out:
-                return out
-        m >>= 1
-        i += 1
-    return out
+    p = x.cfg.p
+    parts = x.parts
+    for i, j, c in g.shears:
+        parts = _shear(parts, i, j, c, p)
+    scaled = [(k, d) for k, d in enumerate(g.diag) if d != 1]
+    out = {}
+    for mask, poly in parts.items():
+        s = math.prod(d for k, d in scaled if mask >> k & 1)
+        out[mask] = {
+            mono: coeff * s * math.prod(pow(d, mono[k], p) for k, d in scaled) % p
+            for mono, coeff in poly.items()
+        }
+    return ExtClass(x.cfg, out)

@@ -195,18 +195,20 @@ def _require_unital_poly(x):
 
 
 def _coordinate_change(cfg, v):
-    """A substitution carrying the linear form of v to t_1."""
+    """A substitution carrying the linear form of v to t_1.
+
+    For the first k with v_k != 0, t_k -> (t_1 - sum_(j != k) v_j t_(c_j)) / v_k
+    and t_j -> t_(c_j) otherwise, where c_j runs over 2..n in the order of j.
+    """
     p, n = cfg.p, cfg.n
     k = next(i for i, c in enumerate(v) if c)
     inv = pow(v[k], -1, p)
-    rows = [[inv if j == k else 0 for j in range(n)]]
-    for j in range(n):
-        if j == k:
-            continue
-        row = [1 if i == j else 0 for i in range(n)]
-        row[k] = (-v[j] * inv) % p
-        rows.append(row)
-    return LinearSubst(cfg, rows).transpose()
+    rows = [[0] * n for _ in range(n)]
+    rows[k][0] = inv
+    for col, j in enumerate((j for j in range(n) if j != k), 1):
+        rows[j][col] = 1
+        rows[k][col] = -v[j] * inv % p
+    return LinearSubst(cfg, rows)
 
 
 def _strip_first_var(poly):

@@ -133,6 +133,8 @@ def cmd_orbit(args):
 
 def cmd_hilbert(args):
     cfg = Config(args.p, args.n)
+    if args.max_degree < 0:
+        raise ValueError("max degree must be non-negative")
     group = group_generators(cfg, args.group)
     ring = "SM" if group.kind == "SL" else "M"
     for d in range(args.max_degree + 1):

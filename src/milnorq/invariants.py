@@ -34,6 +34,8 @@ from .steenrod import apply_word
 DESK_SCALE_POINTS = 400  # refuse group-size work beyond p^n of this size
 INVARIANT_MATRIX_BYTES = 1 << 30  # bound on the grade-solver estimate, see below
 GRADE_PEAK_FACTOR = 4  # measured peak bytes / (8 x G^2) is 3.0-3.5, see below
+MEMBERSHIP_ROW_BYTES = 256  # membership peak per monomial row, see below
+MEMBERSHIP_CELL_BYTES = 96  # and per (monomial, candidate) cell
 
 
 def _guard_points(cfg):
@@ -280,12 +282,36 @@ def _compositions(total, degrees):
             yield (k,) + rest
 
 
+def check_membership_bytes(cfg, d, degrees):
+    """Raise ResourceGuardError unless membership_dickson at degree d fits
+    under INVARIANT_MATRIX_BYTES by an estimate of its peak.
+
+    The estimate is MEMBERSHIP_ROW_BYTES x rows + MEMBERSHIP_CELL_BYTES x
+    rows x cols for rows monomials and cols candidate products: tracemalloc
+    peaks at (3, 2) to (3, 4), with up to 708,561 rows and 251 candidates,
+    were about 200 B a row plus 44-71 B a cell.  rows is a binomial; the
+    candidates, at most rows as Dickson monomials are linearly independent,
+    are counted only when rows alone fits and cols = rows would not.
+    """
+    rows = math.comb(d // 2 + cfg.n - 1, cfg.n - 1)
+    needed = MEMBERSHIP_ROW_BYTES * rows
+    if needed <= INVARIANT_MATRIX_BYTES < needed + MEMBERSHIP_CELL_BYTES * rows * rows:
+        cols = sum(1 for _ in _compositions(d, degrees))
+        needed += MEMBERSHIP_CELL_BYTES * rows * cols
+    if needed > INVARIANT_MATRIX_BYTES:
+        raise ResourceGuardError(
+            f"degree-{d} membership needs {rows} monomial rows, "
+            f"about {needed} bytes; bound is {INVARIANT_MATRIX_BYTES}"
+        )
+
+
 def membership_dickson(x, ring):
     """Express a homogeneous polynomial class in the D_n or SD_n generators.
 
     Returns {exponent tuple: coefficient} over the ring's generator list
     (ring_generators order), or None when x is not a member.  The zero class
-    yields the empty decomposition.
+    yields the empty decomposition.  check_membership_bytes prices the work
+    before any monomial or product is built.
     """
     cfg = x.cfg
     if not x.is_polynomial():
@@ -297,25 +323,15 @@ def membership_dickson(x, ring):
     _, gens = ring_generators(cfg, ring)
     d = x.degree()
     degrees = [g.degree() for g in gens]
+    check_membership_bytes(cfg, d, degrees)
     candidates = list(_compositions(d, degrees))
     if not candidates:
         return None
-    power_cache = [{} for _ in gens]
-
-    def gen_power(i, e):
-        cached = power_cache[i].get(e)
-        if cached is None:
-            cached = gens[i] ** e
-            power_cache[i][e] = cached
-        return cached
-
-    products = []
-    for exps in candidates:
-        prod = ExtClass.one(cfg)
-        for i, e in enumerate(exps):
-            if e:
-                prod = prod * gen_power(i, e)
-        products.append(prod)
+    power = lru_cache(maxsize=None)(lambda i, e: gens[i] ** e)  # for this call only
+    products = [
+        math.prod((power(i, e) for i, e in enumerate(exps) if e), start=ExtClass.one(cfg))
+        for exps in candidates
+    ]
     monos = list(monomials(cfg.n, d // 2))
     index = {mono: r for r, mono in enumerate(monos)}
     a = np.zeros((len(monos), len(products)), dtype=np.int64)

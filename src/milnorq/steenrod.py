@@ -10,9 +10,7 @@ Q_i raises cohomological degree by 2p^i - 1, P^j by 2j(p-1).
 
 from __future__ import annotations
 
-import math
-
-from .algebra import ExtClass, _accumulate
+from .algebra import ExtClass, _accumulate, _binomials_mod_p
 from .backend import add_into
 
 
@@ -40,10 +38,6 @@ def milnor_q(i, x):
     return ExtClass(cfg, parts)
 
 
-def _binom_mod(m, i, p):
-    return math.comb(m, i) % p
-
-
 def _term_totals(mono, jmax, p, n):
     """Total reduced power of the monomial t^mono, split by operation index.
 
@@ -54,11 +48,7 @@ def _term_totals(mono, jmax, p, n):
         e = mono[k]
         if e == 0:
             continue
-        options = []
-        for i in range(1, min(e, jmax) + 1):
-            b = _binom_mod(e, i, p)
-            if b:
-                options.append((i, b))
+        options = _binomials_mod_p(e, jmax, p)[1:]
         if not options:
             continue
         # no collisions inside one term: the var-k exponent of an output

@@ -12,6 +12,11 @@
 - Total Chern classes: total_chern_sequential multiplies the factors
   (1 + v)^m into one running product in weight order, where
   chern.total_chern splits off a*reg and builds c(reg) by a coset tree.
+- Linear substitution: substitute_linear_expanded multiplies out the images
+  of the generators of each term, with powers of linear forms taken through
+  the kernel, where algebra.substitute_linear applies the shear factors of g
+  one binomial expansion at a time.  det_by_permutations is the Leibniz
+  formula, where LinearSubst.det is the product of the diagonal factor.
 """
 
 import itertools
@@ -19,8 +24,8 @@ import math
 
 import numpy as np
 
-from milnorq.algebra import ExtClass, substitute_linear
-from milnorq.backend import poly_mul
+from milnorq.algebra import _SIGN, ExtClass, _bits, _perm_sign, substitute_linear
+from milnorq.backend import add_into, poly_mul, poly_pow
 from milnorq.invariants import _guard_points, degree_basis
 
 
@@ -71,6 +76,50 @@ def total_chern_sequential(rho):
         factor = ExtClass.one(cfg) + ExtClass.linear_form(cfg, v)
         result = result * factor**m
     return result
+
+
+def substitute_linear_expanded(g, x):
+    """substitute_linear by expanding the product of the generator images.
+
+    Each t_k goes to the linear form of row k of g, each dt_k to the same
+    form in the dt_j; a term dt_A t^a maps to the ordered exterior product of
+    the images of dt_k over k in A times the product of powers of the images
+    of t_k.
+    """
+    cfg = x.cfg
+    p, n = cfg.p, cfg.n
+    images = [
+        {tuple(int(i == j) for i in range(n)): c for j, c in enumerate(row) if c}
+        for row in g.rows
+    ]
+    parts = {}
+    for mask, poly in x.parts.items():
+        ext = {0: 1}
+        for k in _bits(mask):
+            step = {}
+            for m0, c0 in ext.items():
+                for j, c in enumerate(g.rows[k]):
+                    if c and not m0 >> j & 1:
+                        add_into(step, {m0 | 1 << j: _SIGN[m0][1 << j] * c}, c0, p)
+            ext = step
+        for mono, c in poly.items():
+            image = {cfg.zero_mono: 1}
+            for k, e in enumerate(mono):
+                image = poly_mul(image, poly_pow(images[k], e, p, n), p)
+            for tmask, tc in ext.items():
+                add_into(parts.setdefault(tmask, {}), image, c * tc, p)
+    return ExtClass(cfg, {m: q for m, q in parts.items() if q})
+
+
+def det_by_permutations(rows, p):
+    """The determinant mod p as the signed sum over all permutations."""
+    det = 0
+    for perm in itertools.permutations(range(len(rows))):
+        term = _perm_sign(perm)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        det += term
+    return det % p
 
 
 def rref_dense(matrix, p):

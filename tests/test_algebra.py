@@ -2,6 +2,8 @@ import copy
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milnorq import (
     Config,
@@ -13,6 +15,7 @@ from milnorq import (
     substitute_linear,
 )
 from conftest import CONFIGS, random_class, random_homogeneous, random_subst
+from oracles import det_by_permutations, substitute_linear_expanded
 
 
 class TestConfig:
@@ -215,10 +218,10 @@ class TestSubstitution:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("p", [3, 7, 97])
-    def test_matches_sympy_substitution(self, p, n, packed_calls):
-        # these exponents make the powers of the images of t_k large enough for
-        # the packed kernel, even mod 3 where (a t1 + b t2)^(3e) has few terms;
-        # sympy composes the polynomial on its own
+    def test_matches_sympy_substitution(self, p, n):
+        # high exponents give long binomial expansions under each shear, even
+        # mod 3 where most C(a, k) vanish; sympy composes the polynomial on
+        # its own
         pytest.importorskip("sympy")
         from sympy.polys.domains import GF
         from sympy.polys.rings import ring
@@ -238,4 +241,96 @@ class TestSubstitution:
             want = {mono: int(c) % p for mono, c in want.items() if int(c) % p}
             got = substitute_linear(g, ExtClass(cfg, {0: poly}))
             assert got == (ExtClass(cfg, {0: want}) if want else ExtClass.zero(cfg))
-        assert packed_calls
+
+
+# hypothesis draws a config, then matrices and classes under it
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def configs(draw):
+    return Config(draw(st.sampled_from([3, 5, 7, 97])), draw(st.integers(1, 4)))
+
+
+def matrices(cfg):
+    row = st.lists(st.integers(0, cfg.p - 1), min_size=cfg.n, max_size=cfg.n)
+    return st.lists(row, min_size=cfg.n, max_size=cfg.n)
+
+
+def substs(cfg):
+    invertible = matrices(cfg).filter(lambda rows: det_by_permutations(rows, cfg.p))
+    return invertible.map(lambda rows: LinearSubst(cfg, rows))
+
+
+def classes(cfg):
+    """Up to four terms, any exterior part, exponents up to 6 (4 when n = 4)."""
+    exponent = st.integers(0, 4 if cfg.n == 4 else 6)
+    term = st.tuples(
+        st.integers(0, (1 << cfg.n) - 1),
+        st.tuples(*[exponent] * cfg.n),
+        st.integers(1, cfg.p - 1),
+    )
+    return st.lists(term, min_size=1, max_size=4).map(
+        lambda terms: ExtClass.from_terms(cfg, terms)
+    )
+
+
+def shear_product(g):
+    """The matrix S_1 ... S_m diag(d) of the factors of g."""
+    p, n = g.cfg.p, g.cfg.n
+    m = [[int(a == b) for b in range(n)] for a in range(n)]
+    for i, j, c in g.shears:
+        # right multiplication by I + c*E_ij: column j += c * column i
+        for row in m:
+            row[j] = (row[j] + c * row[i]) % p
+    return tuple(tuple(v * d % p for v, d in zip(row, g.diag)) for row in m)
+
+
+class TestShearFactors:
+    @PROPERTY
+    @given(data=st.data())
+    def test_matches_the_expanded_route(self, data):
+        cfg = data.draw(configs())
+        g, x = data.draw(substs(cfg)), data.draw(classes(cfg))
+        assert substitute_linear(g, x) == substitute_linear_expanded(g, x)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_composition_convention(self, data):
+        cfg = data.draw(configs())
+        g, h, x = data.draw(substs(cfg)), data.draw(substs(cfg)), data.draw(classes(cfg))
+        assert substitute_linear(g @ h, x) == substitute_linear(g, substitute_linear(h, x))
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_factors_multiply_back(self, data):
+        g = data.draw(configs().flatmap(substs))
+        assert all(i != j and c for i, j, c in g.shears)
+        assert len(g.shears) <= g.cfg.n**2
+        assert shear_product(g) == g.rows
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_det_matches_the_permutation_expansion(self, data):
+        cfg = data.draw(configs())
+        rows = data.draw(matrices(cfg))
+        det = det_by_permutations(rows, cfg.p)
+        if det:
+            assert LinearSubst(cfg, rows).det == det
+        else:
+            with pytest.raises(ValueError):
+                LinearSubst(cfg, rows)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_inverse_on_both_sides(self, data):
+        g = data.draw(configs().flatmap(substs))
+        identity = LinearSubst.identity(g.cfg)
+        assert g @ g.inverse() == identity == g.inverse() @ g
+
+    def test_elementary_matrices_are_their_own_factors(self):
+        cfg = Config(5, 3)
+        g = LinearSubst.transvection(cfg, 1, 3, 2)
+        assert (g.shears, g.diag) == (((0, 2, 2),), (1, 1, 1))
+        g = LinearSubst.diagonal(cfg, [2, 3, 4])
+        assert (g.shears, g.diag, g.det) == ((), (2, 3, 4), 4)

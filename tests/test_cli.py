@@ -209,6 +209,30 @@ class TestExitCodes:
         assert out == ""
         assert "resource guard" in err
 
+    def test_membership_refuses_before_building_monomials(self, capsys, monkeypatch):
+        # degree 1200 at (3, 4) has 36,361,101 monomials; refused at once
+        def unreachable(*args):
+            raise AssertionError("the guard let the call through")
+
+        monkeypatch.setattr(invariants, "monomials", unreachable)
+        argv = ["membership", "-p", "3", "-n", "4", "--ring", "d", "--expr", "t1^600"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "resource guard" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_hilbert_rejects_a_negative_max_degree(self, capsys, monkeypatch, extra):
+        def unreachable(*args):
+            raise AssertionError("a negative max degree reached the solver")
+
+        monkeypatch.setattr(invariants, "degree_basis", unreachable)
+        argv = ["hilbert", "-p", "3", "-n", "2", "--group", "sl", "--max-degree", "-1"]
+        code, out, err = run(capsys, argv + extra)
+        assert code == 2
+        assert out == ""
+        assert "max degree must be non-negative" in err
+
     def test_bad_prime(self, capsys):
         assert run(capsys, ["dickson", "-p", "4", "-n", "2"])[0] == 2
 

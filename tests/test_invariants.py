@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import pytest
@@ -251,6 +252,47 @@ class TestMembership:
         dec = membership_dickson(x, "D")
         assert dec == {(4, 0): 2, (0, 3): 1}
         assert decomposition_text(cfg, "D", dec) == "c0^3 + 2*c1^4"
+
+    @pytest.mark.parametrize(
+        "p, n, a, match",
+        [
+            # 5,774,275 monomial rows of degree 648: refused on rows alone
+            (3, 4, 324, "5774275 monomial rows"),
+            (3, 4, 600, "monomial rows"),
+            # 20,001 rows but 834 candidates: refused on rows x candidates
+            (3, 2, 20000, "20001 monomial rows"),
+        ],
+    )
+    def test_guard_refuses_before_building_monomials(self, monkeypatch, p, n, a, match):
+        cfg = Config(p, n)
+        dickson_classes(cfg)
+
+        def unreachable(*args):
+            raise AssertionError("the guard let the call through")
+
+        monkeypatch.setattr(invariants, "monomials", unreachable)
+        monkeypatch.setattr(ExtClass, "__pow__", unreachable)
+        x = ExtClass(cfg, {0: {(a,) + (0,) * (n - 1): 1}})
+        with pytest.raises(ResourceGuardError, match=match):
+            membership_dickson(x, "D")
+
+    @pytest.mark.parametrize("p, n, ring, a", [(3, 3, "D", 240), (3, 2, "SD", 1000)])
+    def test_peak_memory_stays_under_the_guard_estimate(self, p, n, ring, a):
+        cfg = Config(p, n)
+        _, gens = ring_generators(cfg, ring)
+        d = 2 * a
+        rows = math.comb(a + n - 1, n - 1)
+        cols = sum(1 for _ in invariants._compositions(d, [g.degree() for g in gens]))
+        assert cols > 1
+        estimate = invariants.MEMBERSHIP_ROW_BYTES * rows
+        estimate += invariants.MEMBERSHIP_CELL_BYTES * rows * cols
+        tracemalloc.start()
+        try:
+            membership_dickson(ExtClass.t(cfg, 1) ** a, ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < estimate
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
     def test_agreement_with_invariance(self, p, n, rng):
