@@ -27,11 +27,14 @@ Exact fallback: when the widths sum to more than PACKED_KEY_BITS, or an
 exponent or coefficient does not fit in int64, the product takes the dict
 loop, which is exact for any Python ints.  Both paths return equal dicts;
 only the insertion order differs.
+
+numpy is imported on first use, inside the packed path only: loading it
+costs about as much as the rest of a short CLI call, and many calls
+(moore, orbit, apply, e8-adjoint) never form a product of PACKED_MIN_PAIRS
+pairs.
 """
 
 from itertools import chain
-
-import numpy as np
 
 PACKED_MIN_PAIRS = 128  # |a|*|b| below this uses the dict loop
 PACKED_KEY_BITS = 62  # widest packed key; wider products use the dict loop
@@ -66,6 +69,8 @@ def _dict_mul(a, b, p):
 
 def _as_arrays(poly, n):
     """(exponents as an (|poly|, n) int64 array, coefficients as int64)."""
+    import numpy as np
+
     size = len(poly)
     exps = np.fromiter(chain.from_iterable(poly), dtype=np.int64, count=size * n)
     coeffs = np.fromiter(poly.values(), dtype=np.int64, count=size)
@@ -74,6 +79,8 @@ def _as_arrays(poly, n):
 
 def _packed_mul(a, b, p):
     """poly_mul on packed int64 keys; None when the keys would not fit."""
+    import numpy as np
+
     n = len(next(iter(a)))
     try:
         exps_a, coeffs_a = _as_arrays(a, n)
@@ -115,6 +122,8 @@ def _packed_mul(a, b, p):
 
 def _sum_equal_keys(keys, coeffs, p):
     """Sort by key and sum the coefficients of equal keys mod p."""
+    import numpy as np
+
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     coeffs = coeffs[order]

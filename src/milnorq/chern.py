@@ -28,7 +28,7 @@ import itertools
 
 from .algebra import ExtClass, LinearSubst, substitute_linear
 from .backend import add_into, poly_mul, poly_pow
-from .errors import ConsistencyError, ResourceGuardError
+from .errors import ConsistencyError, guard
 from .invariants import (
     _guard_points,
     group_generators,
@@ -36,6 +36,8 @@ from .invariants import (
     moore_class,
 )
 from .steenrod import apply_word
+
+TABLE_WORK_BOUND = 20_000  # obstruction_table refuses a_max * p^n above this
 
 
 class WeightMultiset:
@@ -314,10 +316,12 @@ def obstruction_table(cfg, case, a_max):
     """
     if a_max < 1:
         raise ValueError("a_max must be >= 1")
-    if a_max * cfg.p**cfg.n > 20_000:
-        raise ResourceGuardError(
-            f"a_max = {a_max} at p^n = {cfg.p ** cfg.n} exceeds the desk scale"
-        )
+    points = cfg.p**cfg.n
+    guard(
+        a_max * points,
+        TABLE_WORK_BOUND,
+        f"a_max = {a_max} at p^n = {points} exceeds the desk scale",
+    )
     e = image_generator(cfg, case)
     gl = group_generators(cfg, "GL")
     rows = []

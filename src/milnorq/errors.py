@@ -17,5 +17,15 @@ class ResourceGuardError(RuntimeError):
     """A computation was refused because it exceeds the supported desk scale."""
 
 
+def guard(needed, bound, message):
+    """Raise ResourceGuardError(message) when needed exceeds bound.
+
+    Every desk-scale limit of the package goes through here, so each
+    refusal is a ResourceGuardError and the CLI exits 2 for it.
+    """
+    if needed > bound:
+        raise ResourceGuardError(message)
+
+
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates an implementation bug."""

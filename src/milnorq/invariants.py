@@ -7,6 +7,11 @@ Dickson classes c_{n,i}; the class e_n = Q_0...Q_{n-1}(dt_1...dt_n), equal
 to a Moore determinant, which transforms by the determinant character; and
 the per-degree linear algebra that makes invariance, membership and
 dimension questions executable.
+
+Only membership_dickson and the grade solver of invariant_dimension build
+numpy matrices, and they import numpy once past their byte guards: the
+Dickson classes, invariance checks, orbits and refused calls run without
+it, so the calls that need only those never load it.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .algebra import (
     Config,
@@ -27,7 +30,7 @@ from .algebra import (
     substitute_linear,
 )
 from .backend import add_into, poly_mul, poly_pow
-from .errors import ConsistencyError, ResourceGuardError
+from .errors import ConsistencyError, guard
 from .linalg import kernel_basis, solve
 from .steenrod import apply_word
 
@@ -36,14 +39,17 @@ INVARIANT_MATRIX_BYTES = 1 << 30  # bound on the grade-solver estimate, see belo
 GRADE_PEAK_FACTOR = 4  # measured peak bytes / (8 x G^2) is 3.0-3.5, see below
 MEMBERSHIP_ROW_BYTES = 256  # membership peak per monomial row, see below
 MEMBERSHIP_CELL_BYTES = 96  # and per (monomial, candidate) cell
+CACHE_ENTRIES = 16  # least recently used entries kept by the per-config caches
 
 
 def _guard_points(cfg):
     """Refuse group-size work at more than DESK_SCALE_POINTS vectors p^n."""
-    if cfg.p**cfg.n > DESK_SCALE_POINTS:
-        raise ResourceGuardError(
-            f"p^n = {cfg.p ** cfg.n} exceeds the desk-scale bound {DESK_SCALE_POINTS}"
-        )
+    points = cfg.p**cfg.n
+    guard(
+        points,
+        DESK_SCALE_POINTS,
+        f"p^n = {points} exceeds the desk-scale bound {DESK_SCALE_POINTS}",
+    )
 
 
 def dickson_polynomial(cfg):
@@ -112,7 +118,7 @@ def dickson_classes(cfg):
     return DicksonSet(cfg, ds.e.copy(), tuple(ci.copy() for ci in ds.c))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _dickson_set(cfg):
     """Extract the Dickson set from f_n and validate all its invariants."""
     p, n = cfg.p, cfg.n
@@ -190,7 +196,7 @@ class GroupSpec:
     generators: tuple
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def group_generators(cfg, kind):
     """Generators: all transvections E_ij(1) for SL; plus one diagonal for GL."""
     kind = kind.upper()
@@ -298,11 +304,12 @@ def check_membership_bytes(cfg, d, degrees):
     if needed <= INVARIANT_MATRIX_BYTES < needed + MEMBERSHIP_CELL_BYTES * rows * rows:
         cols = sum(1 for _ in _compositions(d, degrees))
         needed += MEMBERSHIP_CELL_BYTES * rows * cols
-    if needed > INVARIANT_MATRIX_BYTES:
-        raise ResourceGuardError(
-            f"degree-{d} membership needs {rows} monomial rows, "
-            f"about {needed} bytes; bound is {INVARIANT_MATRIX_BYTES}"
-        )
+    guard(
+        needed,
+        INVARIANT_MATRIX_BYTES,
+        f"degree-{d} membership needs {rows} monomial rows, "
+        f"about {needed} bytes; bound is {INVARIANT_MATRIX_BYTES}",
+    )
 
 
 def membership_dickson(x, ring):
@@ -332,6 +339,8 @@ def membership_dickson(x, ring):
         math.prod((power(i, e) for i, e in enumerate(exps) if e), start=ExtClass.one(cfg))
         for exps in candidates
     ]
+    import numpy as np  # past the guard: a refused call never loads it
+
     monos = list(monomials(cfg.n, d // 2))
     index = {mono: r for r, mono in enumerate(monos)}
     a = np.zeros((len(monos), len(products)), dtype=np.int64)
@@ -406,15 +415,18 @@ def check_invariant_matrix_bytes(cfg, d):
     """
     size = max(grade_sizes(cfg, d))
     needed = GRADE_PEAK_FACTOR * size * size * 8
-    if needed > INVARIANT_MATRIX_BYTES:
-        raise ResourceGuardError(
-            f"degree-{d} invariants need {size}x{size} int64 matrices, "
-            f"about {needed} bytes; bound is {INVARIANT_MATRIX_BYTES}"
-        )
+    guard(
+        needed,
+        INVARIANT_MATRIX_BYTES,
+        f"degree-{d} invariants need {size}x{size} int64 matrices, "
+        f"about {needed} bytes; bound is {INVARIANT_MATRIX_BYTES}",
+    )
 
 
 def _grade_class(cfg, grade, vec):
     """The class with coordinates vec on the basis elements of grade."""
+    import numpy as np
+
     parts = {}
     for i in np.flatnonzero(vec).tolist():
         mask, mono = grade[i]
@@ -427,6 +439,8 @@ def _moved(cfg, g, grade, kern):
 
     kern None stands for the identity: v runs over the basis of the grade.
     """
+    import numpy as np
+
     index = {b: i for i, b in enumerate(grade)}
     if kern is None:
         vectors = [ExtClass(cfg, {mask: {mono: 1}}) for mask, mono in grade]
@@ -457,6 +471,8 @@ def invariant_dimension(cfg, d, group):
     give the reduced echelon basis of the whole kernel.
     """
     check_invariant_matrix_bytes(cfg, d)
+    import numpy as np  # past the guard: a refused call never loads it
+
     p = cfg.p
     basis = degree_basis(cfg, d)
     classes = []

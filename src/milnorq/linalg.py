@@ -4,15 +4,18 @@ rref eliminates in place and only where it must: for each pivot it updates
 the rows with a nonzero entry in the pivot column, and only from the pivot
 column rightwards, since the pivot row is zero to its left.  Entries stay in
 0..p-1 between pivots, so no product exceeds p^2.
+
+Each solver imports numpy when it is first called, not when this module is
+loaded, so a CLI call that never solves a system never pays for numpy.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def rref(matrix, p):
     """Reduced row echelon form mod p; returns (array, pivot column list)."""
+    import numpy as np
+
     a = np.array(matrix, dtype=np.int64) % p
     if a.ndim != 2:
         raise ValueError("matrix must be 2-dimensional")
@@ -39,6 +42,8 @@ def rref(matrix, p):
 
 def solve(matrix, rhs, p):
     """One solution of matrix @ x == rhs mod p (free variables 0), or None."""
+    import numpy as np
+
     a = np.array(matrix, dtype=np.int64) % p
     b = np.array(rhs, dtype=np.int64) % p
     aug = np.hstack([a, b.reshape(-1, 1)])
@@ -58,6 +63,8 @@ def kernel_basis(matrix, p):
     Returns a list of int64 arrays whose leading entries are 1, ordered by
     leading position.
     """
+    import numpy as np
+
     red, pivots = rref(matrix, p)
     ncols = red.shape[1]
     pivot_set = set(pivots)

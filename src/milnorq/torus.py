@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, guard
+
+SPIN_RANK_BOUND = 12  # spin_plus_char expands 2^m sign vectors; larger m is refused
 
 
 class LaurentChar:
@@ -103,8 +105,7 @@ def elementary_symmetric_char(k, items):
 
 def spin_plus_char(m):
     """Sum of z_1^(e_1)...z_m^(e_m) over sign vectors with product +1."""
-    if m > 12:
-        raise ValueError("rank bound for the sign-vector expansion is 12")
+    guard(m, SPIN_RANK_BOUND, f"rank bound for the sign-vector expansion is {SPIN_RANK_BOUND}")
     terms = {}
     for eps in itertools.product((1, -1), repeat=m):
         prod = 1

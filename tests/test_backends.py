@@ -2,12 +2,15 @@
 
 The oracle is sympy's sparse polynomial ring over GF(p), which multiplies
 dicts of exponent tuples in pure Python and never packs exponents, so it is
-independent of both paths of poly_mul.
+independent of both paths of poly_mul.  A hypothesis test also checks
+poly_mul, and the packed path alone, against the dict loop.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milnorq import backend
 from milnorq.backend import BLOCK_PAIRS, PACKED_MIN_PAIRS, add_into, poly_mul, poly_pow
@@ -152,6 +155,39 @@ def test_exponents_beyond_int64_take_the_exact_fallback():
     b = {(i, 0): 2 for i in range(20)}
     assert backend._packed_mul(a, b, 3) is None
     assert checked_mul(a, b, 3) == sympy_mul(a, b, 2, 3)
+
+
+@st.composite
+def kernel_operands(draw):
+    """(a, b, p) with |a|*|b| on either side of PACKED_MIN_PAIRS.
+
+    One term of a may have a large exponent in every variable: 2^16 packs
+    for n <= 3, 2^31 packs only for n = 1, and 2^63 does not fit in int64.
+    """
+    p = draw(st.sampled_from([3, 5, 7, 97]))
+    n = draw(st.integers(1, 4))
+    size_b = draw(st.integers(4, 16))
+    pairs = draw(st.integers(PACKED_MIN_PAIRS // 2, 2 * PACKED_MIN_PAIRS))
+    size_a = -(-pairs // size_b)
+    mono = st.tuples(*[st.integers(0, 99)] * n)
+    coeff = st.integers(-p * p, p * p)
+    a = draw(st.dictionaries(mono, coeff, min_size=size_a, max_size=size_a))
+    b = draw(st.dictionaries(mono, coeff, min_size=size_b, max_size=size_b))
+    top = draw(st.sampled_from([None, 2**16, 2**31, 2**63]))
+    if top is not None:
+        a[(top,) * n] = draw(coeff)
+    return a, b, p
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(operands=kernel_operands())
+def test_poly_mul_matches_the_dict_loop(operands):
+    a, b, p = operands
+    want = backend._dict_mul(a, b, p)
+    assert checked_mul(a, b, p) == want
+    assert checked_mul(b, a, p) == want
+    packed = backend._packed_mul(a, b, p)
+    assert packed is None or packed == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

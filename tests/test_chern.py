@@ -373,3 +373,17 @@ class TestObstructionTable:
             obstruction_table(cfg, "pu", 0)
         with pytest.raises(ResourceGuardError):
             obstruction_table(cfg, "pu", 10_000)
+
+    def test_work_bound(self, monkeypatch):
+        # a_max * p^n at the bound starts the table; one more is refused
+        cfg = Config(5, 2)
+        assert 800 * 25 == chern.TABLE_WORK_BOUND
+
+        def started(cfg, case):
+            raise LookupError("table started")
+
+        monkeypatch.setattr(chern, "image_generator", started)
+        with pytest.raises(LookupError, match="table started"):
+            obstruction_table(cfg, "pu", 800)
+        with pytest.raises(ResourceGuardError, match=r"^a_max = 801 at p\^n = 25 exceeds"):
+            obstruction_table(cfg, "pu", 801)

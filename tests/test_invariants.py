@@ -41,7 +41,6 @@ from oracles import (
     invariant_dimension_stacked,
 )
 
-
 class TestDicksonPolynomial:
     def test_rank_one_explicit(self):
         cfg = Config(3, 1)
@@ -159,6 +158,28 @@ class TestMoore:
         cfg = Config(p, n)
         word = [("Q", i) for i in range(n)]
         assert moore_class(cfg) == apply_word(word, ExtClass.dt_top(cfg))
+
+
+@pytest.mark.parametrize(
+    "lookup, cache_info",
+    [
+        (dickson_classes, dickson_classes.cache_info),
+        (lambda cfg: group_generators(cfg, "GL"), group_generators.cache_info),
+    ],
+    ids=["dickson_classes", "group_generators"],
+)
+def test_results_survive_eviction(lookup, cache_info):
+    cfg = Config(3, 2)
+    first = lookup(cfg)
+    # more rank-one configs than the per-config caches keep
+    primes = [p for p in range(3, 98, 2) if all(p % d for d in range(3, p, 2))]
+    for p in primes[: invariants.CACHE_ENTRIES + 1]:
+        lookup(Config(p, 1))
+    info = cache_info()
+    assert info.currsize == info.maxsize == invariants.CACHE_ENTRIES
+    again = lookup(cfg)
+    assert cache_info().misses == info.misses + 1  # recomputed
+    assert again == first
 
 
 class TestGroups:

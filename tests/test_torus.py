@@ -6,12 +6,14 @@ from milnorq import (
     ConsistencyError,
     IntSeries,
     LaurentChar,
+    ResourceGuardError,
     chern_series,
     e8_adjoint_check,
     elementary_symmetric_char,
     restrict_to_circle,
     spin_plus_char,
 )
+from milnorq.torus import SPIN_RANK_BOUND
 
 
 def doubled_generators(rank):
@@ -109,8 +111,9 @@ class TestSpinPlus:
         assert LaurentChar(6, flipped) == spin
 
     def test_rank_bound(self):
-        with pytest.raises(ValueError):
-            spin_plus_char(13)
+        assert len(spin_plus_char(SPIN_RANK_BOUND).terms) == 2 ** (SPIN_RANK_BOUND - 1)
+        with pytest.raises(ResourceGuardError, match="sign-vector expansion is 12$"):
+            spin_plus_char(SPIN_RANK_BOUND + 1)
 
 
 class TestRestrict:
