@@ -5,55 +5,80 @@ length n to coefficients in 1..p-1; zero coefficients are never stored.
 poly_mul and add_into are the only loops that combine two such dicts;
 algebra._accumulate adds a single term.
 
-poly_mul takes one of two paths, chosen only from its operands:
+poly_mul has two paths, the dict loop and packed keys, and a three-way rule
+that chooses between them from the operands and from whether numpy is
+loaded yet:
 
 - Dict loop.  Products of fewer than PACKED_MIN_PAIRS term pairs (|a|*|b|)
   run a plain dict loop, which costs least per call: below about 64 pairs
   the fixed cost of the numpy calls is larger than the whole loop.
-- Packed keys.  Larger products pack each exponent tuple into one int64 key
-  (packed monomials, as in Monagan & Pearce, "Parallel sparse polynomial
-  multiplication using heaps", ISSAC 2009).  The field of variable i is as
-  wide as the bit length of max_i(a) + max_i(b), so the widths are chosen
-  per call and a sum of two keys never carries from one field into the
-  next.  Variable 0 takes the highest field, so keys sort in exponent-tuple
-  order.  Keys of term pairs are added and coefficients multiplied mod p in
-  blocks of at most BLOCK_PAIRS pairs (or of one term of the larger operand
-  times all of the smaller one, if that is more).  Each block is stably
-  sorted together with the running sorted result, and the coefficients of
-  equal keys are summed mod p.  Temporaries thus stay near the size of the
-  result, whatever the number of pairs.
+- Rent budget.  Loading numpy costs about 30 ms, as much as 65,536 pairs
+  (NUMPY_IMPORT_PAIRS) of the dict loop at its 400-520 ns a pair.  Until
+  some other module has loaded numpy, a product of PACKED_MIN_PAIRS pairs
+  or more stays on the dict loop and adds its pairs to a process-wide
+  count; the product that takes the count to NUMPY_IMPORT_PAIRS loads
+  numpy and takes the packed path.  This is the rent-or-buy rule (Karlin,
+  Manasse, Rudolph & Sleator, "Competitive snoopy caching", 1988): the
+  dict loop spends at most about one import before numpy is bought, and
+  the many calls whose products are small in total never load numpy.
+- Packed keys, once numpy is loaded (by the budget or by a solver).
+  Products of PACKED_MIN_PAIRS pairs or more pack each exponent tuple into
+  one int64 key (packed monomials, as in Monagan & Pearce, "Parallel
+  sparse polynomial multiplication using heaps", ISSAC 2009), at 60-230 ns
+  a pair.  The field of variable i is as wide as the bit length of
+  max_i(a) + max_i(b), so the widths are chosen per call and a sum of two
+  keys never carries from one field into the next.  Variable 0 takes the
+  highest field, so keys sort in exponent-tuple order.  The keys of a are
+  sorted once; then keys of term pairs are added and coefficients
+  multiplied mod p in blocks of at most BLOCK_PAIRS pairs (or of one term
+  of the larger operand times all of the smaller one, if that is more).
+  Each block is stably sorted together with the running sorted result, and
+  the coefficients of equal keys are summed mod p.  Temporaries thus stay
+  near the size of the result, whatever the number of pairs.
 
 Exact fallback: when the widths sum to more than PACKED_KEY_BITS, or an
 exponent or coefficient does not fit in int64, the product takes the dict
-loop, which is exact for any Python ints.  Both paths return equal dicts;
+loop, which is exact for any Python ints.  All paths return equal dicts;
 only the insertion order differs.
-
-numpy is imported on first use, inside the packed path only: loading it
-costs about as much as the rest of a short CLI call, and many calls
-(moore, orbit, apply, e8-adjoint) never form a product of PACKED_MIN_PAIRS
-pairs.
 """
 
+import sys
 from itertools import chain
 
 PACKED_MIN_PAIRS = 128  # |a|*|b| below this uses the dict loop
 PACKED_KEY_BITS = 62  # widest packed key; wider products use the dict loop
 BLOCK_PAIRS = 1 << 15  # most term pairs formed at once on the packed path
+NUMPY_IMPORT_PAIRS = 1 << 16  # dict-loop pairs that cost about one numpy import
+
+_rented_pairs = 0  # pairs of packed-size products run on the dict loop so far
 
 
 def backend_name():
-    """Name of the kernel: a dict loop for small products, numpy for large."""
+    """Name of the kernel: a dict loop, numpy packed keys for large products.
+
+    Products of fewer than PACKED_MIN_PAIRS pairs always run the dict loop.
+    Larger ones run it too until numpy is loaded, by a solver or once the
+    dict loop has spent NUMPY_IMPORT_PAIRS pairs on them (about the 30 ms
+    that the import costs); from then on they take the packed path.
+    """
     return "dict+numpy-packed"
 
 
 def poly_mul(a, b, p):
     """Product of two sparse polynomials mod p."""
+    global _rented_pairs
     if len(a) < len(b):
         a, b = b, a
-    if len(a) * len(b) >= PACKED_MIN_PAIRS:
-        product = _packed_mul(a, b, p)
-        if product is not None:
-            return product
+    pairs = len(a) * len(b)
+    if pairs >= PACKED_MIN_PAIRS:
+        bought = "numpy" in sys.modules
+        if not bought:
+            _rented_pairs += pairs
+            bought = _rented_pairs >= NUMPY_IMPORT_PAIRS
+        if bought:
+            product = _packed_mul(a, b, p)
+            if product is not None:
+                return product
     return _dict_mul(a, b, p)
 
 
@@ -95,15 +120,19 @@ def _packed_mul(a, b, p):
     shifts = np.cumsum([0] + widths[:0:-1], dtype=np.int64)[::-1]
     keys_a = (exps_a << shifts).sum(axis=1)
     keys_b = (exps_b << shifts).sum(axis=1)
-    coeffs_a %= p
+    # sorted keys of a make each row of a block one sorted run; a built by
+    # the dict loop comes in insertion order
+    order = np.argsort(keys_a, kind="stable")
+    keys_a = keys_a[order]
+    coeffs_a = coeffs_a[order] % p
     coeffs_b %= p
 
     keys = np.empty(0, dtype=np.int64)
     coeffs = np.empty(0, dtype=np.int64)
     rows = max(1, BLOCK_PAIRS // len(b))
     for start in range(0, len(a), rows):
-        # one row per term of b: when a came from this path its keys are
-        # sorted, so the stable sort merges len(b) + 1 sorted runs
+        # one row per term of b, each sorted: the stable sort merges
+        # len(b) + 1 sorted runs
         block_keys = keys_b[:, None] + keys_a[None, start:start + rows]
         block_coeffs = coeffs_b[:, None] * coeffs_a[None, start:start + rows]
         keys, coeffs = _sum_equal_keys(

@@ -196,9 +196,17 @@ class GroupSpec:
     generators: tuple
 
 
-@lru_cache(maxsize=CACHE_ENTRIES)
 def group_generators(cfg, kind):
-    """Generators: all transvections E_ij(1) for SL; plus one diagonal for GL."""
+    """Generators: all transvections E_ij(1) for SL; plus one diagonal for GL.
+
+    kind is read without regard to case, and "gl" and "GL" share one cache
+    entry.
+    """
+    return _group_spec(cfg, kind.upper())
+
+
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _group_spec(cfg, kind):
     kind = kind.upper()
     if kind not in ("SL", "GL"):
         raise ValueError(f"unknown group kind {kind!r}")
@@ -214,6 +222,11 @@ def group_generators(cfg, kind):
             LinearSubst.diagonal(cfg, [primitive_root(cfg.p)] + [1] * (n - 1))
         )
     return GroupSpec(kind, cfg, tuple(gens))
+
+
+# cache_info() counts the one cache; __wrapped__ builds the group uncached
+group_generators.cache_info = _group_spec.cache_info
+group_generators.__wrapped__ = _group_spec.__wrapped__
 
 
 def is_invariant(x, group):
@@ -258,6 +271,21 @@ def grade_sizes(cfg, d):
         for r in range(min(n, d) + 1)
         if (d - r) % 2 == 0
     ]
+
+
+def _generator_degrees(cfg, ring):
+    """Degrees of the ring_generators classes, in their order, from the
+    closed forms deg c_{n,i} = 2(p^n - p^i) and deg e_n = 2(p^n - 1)/(p - 1)
+    (checked against the classes by _validate_dickson), with no class built.
+    """
+    p, n = cfg.p, cfg.n
+    degrees = [2 * (p**n - p**i) for i in range(n - 1, -1, -1)]
+    ring = ring.upper()
+    if ring == "D":
+        return degrees
+    if ring == "SD":
+        return [2 * (p**n - 1) // (p - 1)] + degrees[:-1]
+    raise ValueError(f"unknown ring {ring!r}; expected 'D' or 'SD'")
 
 
 def ring_generators(cfg, ring):
@@ -318,7 +346,8 @@ def membership_dickson(x, ring):
     Returns {exponent tuple: coefficient} over the ring's generator list
     (ring_generators order), or None when x is not a member.  The zero class
     yields the empty decomposition.  check_membership_bytes prices the work
-    before any monomial or product is built.
+    from the generator degrees, before the generators, any monomial or any
+    product is built.
     """
     cfg = x.cfg
     if not x.is_polynomial():
@@ -327,20 +356,23 @@ def membership_dickson(x, ring):
         raise ValueError("non-homogeneous input rejected")
     if not x:
         return {}
-    _, gens = ring_generators(cfg, ring)
     d = x.degree()
-    degrees = [g.degree() for g in gens]
+    degrees = _generator_degrees(cfg, ring)
     check_membership_bytes(cfg, d, degrees)
     candidates = list(_compositions(d, degrees))
     if not candidates:
         return None
+    # past the guard, so a refused call never loads numpy; loaded before the
+    # products, which the solve below needs anyway, so that they take the
+    # packed path and spend no rent budget on the dict loop
+    import numpy as np
+
+    _, gens = ring_generators(cfg, ring)
     power = lru_cache(maxsize=None)(lambda i, e: gens[i] ** e)  # for this call only
     products = [
         math.prod((power(i, e) for i, e in enumerate(exps) if e), start=ExtClass.one(cfg))
         for exps in candidates
     ]
-    import numpy as np  # past the guard: a refused call never loads it
-
     monos = list(monomials(cfg.n, d // 2))
     index = {mono: r for r, mono in enumerate(monos)}
     a = np.zeros((len(monos), len(products)), dtype=np.int64)

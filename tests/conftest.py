@@ -15,7 +15,14 @@ def rng():
 
 @pytest.fixture
 def packed_calls(monkeypatch):
-    """|a|*|b| of every product that reaches the kernel's packed path."""
+    """|a|*|b| of every product that reaches the kernel's packed path.
+
+    numpy is loaded first: with numpy loaded, every product of
+    PACKED_MIN_PAIRS pairs or more takes the packed path, whatever the
+    rent budget has spent in this process.
+    """
+    import numpy  # noqa: F401
+
     calls = []
     packed_mul = backend._packed_mul
 

@@ -2,8 +2,9 @@
 
 The oracle is sympy's sparse polynomial ring over GF(p), which multiplies
 dicts of exponent tuples in pure Python and never packs exponents, so it is
-independent of both paths of poly_mul.  A hypothesis test also checks
-poly_mul, and the packed path alone, against the dict loop.
+independent of both paths of poly_mul.  Hypothesis tests also check
+poly_mul, and the packed path alone, against the dict loop, the packed path
+also on operands in the unsorted insertion order the dict loop builds.
 """
 
 import random
@@ -188,6 +189,44 @@ def test_poly_mul_matches_the_dict_loop(operands):
     assert checked_mul(b, a, p) == want
     packed = backend._packed_mul(a, b, p)
     assert packed is None or packed == want
+
+
+@st.composite
+def unsorted_operands(draw):
+    """(a, b, p) with |a|*|b| on either side of BLOCK_PAIRS, a in an
+    insertion order the dict loop makes: shuffled, or a dict-loop product of
+    operands whose exponents never collide, so its packed keys come unsorted.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.sampled_from([3, 5, 7, 97]))
+    n = draw(st.integers(1, 4))
+    size_b = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        pairs = draw(st.integers(BLOCK_PAIRS + 1, 2 * BLOCK_PAIRS))
+    else:
+        pairs = draw(st.integers(BLOCK_PAIRS // 2, BLOCK_PAIRS - 40))
+    size_a = -(-pairs // size_b)
+    b = exact_poly(rng, n, size_b, p)
+    if draw(st.booleans()):
+        items = list(exact_poly(rng, n, size_a, p).items())
+        rng.shuffle(items)
+        a = dict(items)
+    else:
+        low = exact_poly(rng, n, draw(st.integers(2, 10)), p, max_exp=9)
+        high = exact_poly(rng, n, -(-size_a // len(low)), p)
+        high = {tuple(10 * e for e in mono): c for mono, c in high.items()}
+        a = backend._dict_mul(low, high, p)
+        assert len(a) == len(low) * len(high)
+    return a, b, p
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(operands=unsorted_operands())
+def test_packed_path_on_unsorted_operands(operands):
+    a, b, p = operands
+    want = backend._dict_mul(a, b, p)
+    assert backend._packed_mul(a, b, p) == want
+    assert backend._packed_mul(b, a, p) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -210,11 +210,13 @@ class TestExitCodes:
         assert "resource guard" in err
 
     def test_membership_refuses_before_building_monomials(self, capsys, monkeypatch):
-        # degree 1200 at (3, 4) has 36,361,101 monomials; refused at once
+        # degree 1200 at (3, 4) has 36,361,101 monomials; refused at once,
+        # priced from the generator degrees before f_n is built
         def unreachable(*args):
             raise AssertionError("the guard let the call through")
 
         monkeypatch.setattr(invariants, "monomials", unreachable)
+        monkeypatch.setattr(invariants, "dickson_classes", unreachable)
         argv = ["membership", "-p", "3", "-n", "4", "--ring", "d", "--expr", "t1^600"]
         code, out, err = run(capsys, argv)
         assert code == 2

@@ -200,6 +200,18 @@ class TestGroups:
         with pytest.raises(ValueError):
             group_generators(Config(3, 2), "PSL")
 
+    def test_either_spelling_shares_one_cache_entry(self):
+        cfg = Config(3, 3)
+        info = group_generators.cache_info()
+        upper = group_generators(cfg, "GL")
+        assert group_generators(cfg, "gl") is upper
+        assert group_generators(cfg, "Gl") is upper
+        after = group_generators.cache_info()
+        assert after.hits + after.misses == info.hits + info.misses + 3
+        assert after.misses - info.misses <= 1
+        assert group_generators.__wrapped__(cfg, "gl") == upper  # built uncached
+        assert group_generators.cache_info().misses == after.misses
+
 
 class TestInvariance:
     def test_bottom_dickson_class_is_gl_invariant(self):
@@ -235,6 +247,17 @@ class TestInvariance:
 
 
 class TestMembership:
+    @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2), (7, 2), (3, 3), (3, 4)])
+    @pytest.mark.parametrize("ring", ["D", "SD", "sd"])
+    def test_closed_form_degrees_match_the_generators(self, p, n, ring):
+        cfg = Config(p, n)
+        _, gens = ring_generators(cfg, ring)
+        assert invariants._generator_degrees(cfg, ring) == [g.degree() for g in gens]
+
+    def test_unknown_ring(self):
+        with pytest.raises(ValueError, match="unknown ring"):
+            membership_dickson(ExtClass.t(Config(3, 2), 1) ** 2, "M")
+
     def test_square_of_e_decomposes_to_the_bottom_class(self):
         cfg = Config(3, 2)
         ds = dickson_classes(cfg)
@@ -286,11 +309,11 @@ class TestMembership:
     )
     def test_guard_refuses_before_building_monomials(self, monkeypatch, p, n, a, match):
         cfg = Config(p, n)
-        dickson_classes(cfg)
 
         def unreachable(*args):
             raise AssertionError("the guard let the call through")
 
+        monkeypatch.setattr(invariants, "dickson_classes", unreachable)
         monkeypatch.setattr(invariants, "monomials", unreachable)
         monkeypatch.setattr(ExtClass, "__pow__", unreachable)
         x = ExtClass(cfg, {0: {(a,) + (0,) * (n - 1): 1}})
