@@ -29,7 +29,7 @@ from .algebra import (
     _term_sort_key,
     substitute_linear,
 )
-from .backend import add_into, poly_mul, poly_pow
+from .backend import add_into, frobenius, poly_mul, poly_pow
 from .errors import ConsistencyError, guard
 from .linalg import kernel_basis, solve
 from .steenrod import apply_word
@@ -66,9 +66,8 @@ def dickson_polynomial(cfg):
     for k in range(1, n + 1):
         # f_{k-1}(t_k): the X exponent moves onto t_k, which f_{k-1} lacks
         at_tk = {(0,) + m[1:k] + (m[0],) + m[k + 1:]: c for m, c in f.items()}
-        frobenius = {tuple(e * p for e in m): c for m, c in f.items()}
         scale = poly_pow(at_tk, p - 1, p, n + 1)
-        f = add_into(frobenius, poly_mul(scale, f, p), -1, p)
+        f = add_into(frobenius(f, p), poly_mul(scale, f, p), -1, p)
     return f
 
 
@@ -362,10 +361,7 @@ def membership_dickson(x, ring):
     candidates = list(_compositions(d, degrees))
     if not candidates:
         return None
-    # past the guard, so a refused call never loads numpy; loaded before the
-    # products, which the solve below needs anyway, so that they take the
-    # packed path and spend no rent budget on the dict loop
-    import numpy as np
+    import numpy as np  # past the guard: a refused call never loads it
 
     _, gens = ring_generators(cfg, ring)
     power = lru_cache(maxsize=None)(lambda i, e: gens[i] ** e)  # for this call only

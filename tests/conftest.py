@@ -4,34 +4,13 @@ import random
 
 import pytest
 
-from milnorq import Config, ExtClass, LinearSubst, backend
+from milnorq import Config, ExtClass, LinearSubst
 from milnorq.invariants import monomials
 
 
 @pytest.fixture
 def rng():
     return random.Random(20260810)
-
-
-@pytest.fixture
-def packed_calls(monkeypatch):
-    """|a|*|b| of every product that reaches the kernel's packed path.
-
-    numpy is loaded first: with numpy loaded, every product of
-    PACKED_MIN_PAIRS pairs or more takes the packed path, whatever the
-    rent budget has spent in this process.
-    """
-    import numpy  # noqa: F401
-
-    calls = []
-    packed_mul = backend._packed_mul
-
-    def spy(a, b, p):
-        calls.append(len(a) * len(b))
-        return packed_mul(a, b, p)
-
-    monkeypatch.setattr(backend, "_packed_mul", spy)
-    return calls
 
 
 def random_class(rng, cfg, max_terms=3, max_exp=3, allow_dt=True):

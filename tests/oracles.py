@@ -1,5 +1,7 @@
 """Independent routes to library results, used only by tests.
 
+- Sparse products: poly_mul_dict adds the exponent tuples of every term
+  pair, where backend.poly_mul adds packed integer keys.
 - The Dickson polynomial f_n: the library uses the additive recursion in
   invariants.dickson_polynomial; these oracles expand the defining product
   directly, so agreement checks the recursion.  Like the library, they
@@ -27,6 +29,16 @@ import numpy as np
 from milnorq.algebra import _SIGN, ExtClass, _bits, _perm_sign, substitute_linear
 from milnorq.backend import add_into, poly_mul, poly_pow
 from milnorq.invariants import _guard_points, degree_basis
+
+
+def poly_mul_dict(a, b, p):
+    """Product of two sparse polynomials mod p, one exponent tuple per pair."""
+    acc = {}
+    for kb, cb in b.items():
+        for ka, ca in a.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            acc[k] = acc.get(k, 0) + ca * cb
+    return {k: c % p for k, c in acc.items() if c % p}
 
 
 def dickson_polynomial_naive(cfg):

@@ -2,9 +2,13 @@
 
 The oracle is sympy's sparse polynomial ring over GF(p), which multiplies
 dicts of exponent tuples in pure Python and never packs exponents, so it is
-independent of both paths of poly_mul.  Hypothesis tests also check
-poly_mul, and the packed path alone, against the dict loop, the packed path
-also on operands in the unsorted insertion order the dict loop builds.
+independent of poly_mul's packed keys.  A hypothesis test also checks
+poly_mul against tests/oracles.py::poly_mul_dict, the plain dict loop.
+
+Some sizes and names below date from an earlier kernel that sent products
+of CUTOFF_PAIRS pairs or more to a numpy path on packed int64 keys, formed
+BLOCK_SIZE pairs at a time, with a dict-loop fallback for keys wider than
+62 bits.  Those boundaries stay as checks of the one loop.
 """
 
 import random
@@ -13,12 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milnorq import backend
-from milnorq.backend import BLOCK_PAIRS, PACKED_MIN_PAIRS, add_into, poly_mul, poly_pow
+from milnorq.backend import add_into, frobenius, poly_mul, poly_pow
+from oracles import poly_mul_dict
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import GF  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
+
+CUTOFF_PAIRS = 128
+BLOCK_SIZE = 1 << 15
 
 
 def random_poly(rng, n, terms, max_exp, p):
@@ -83,8 +90,9 @@ def test_poly_mul_matches_sympy(n, p):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("p", [3, 7, 97])
-@pytest.mark.parametrize("pairs", [PACKED_MIN_PAIRS - 1, PACKED_MIN_PAIRS, PACKED_MIN_PAIRS + 1])
-def test_poly_mul_at_the_packed_cutoff(n, p, pairs, packed_calls):
+@pytest.mark.parametrize("pairs", [CUTOFF_PAIRS - 1, CUTOFF_PAIRS, CUTOFF_PAIRS + 1])
+def test_poly_mul_at_the_packed_cutoff(n, p, pairs):
+    """Exact sizes around CUTOFF_PAIRS, in both operand orders."""
     rng = random.Random(f"cutoff:{n}:{p}:{pairs}")
     la, lb = shape(pairs)
     for _ in range(3):
@@ -94,23 +102,23 @@ def test_poly_mul_at_the_packed_cutoff(n, p, pairs, packed_calls):
         want = sympy_mul(a, b, n, p)
         assert checked_mul(a, b, p) == want
         assert checked_mul(b, a, p) == want
-    assert packed_calls == ([pairs] * 6 if pairs >= PACKED_MIN_PAIRS else [])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("p", [3, 7, 97])
 def test_poly_mul_over_several_blocks(n, p):
+    """A large product: 80,000 pairs, more than two BLOCK_SIZE."""
     rng = random.Random(f"blocks:{n}:{p}")
     a = exact_poly(rng, n, 4_000, p)
     b = exact_poly(rng, n, 20, p)
-    assert len(a) * len(b) > 2 * BLOCK_PAIRS  # three blocks, two merges
+    assert len(a) * len(b) > 2 * BLOCK_SIZE
     assert checked_mul(a, b, p) == sympy_mul(a, b, n, p)
 
 
 @pytest.mark.parametrize("p", [3, 7, 97])
 def test_cancellation_across_blocks(p):
     # (x - y) * sum_{i<k} x^i y^(k-1-i) = x^k - y^k: all other 2k - 2 terms cancel
-    k = BLOCK_PAIRS + 5
+    k = BLOCK_SIZE + 5
     a = {(i, k - 1 - i): 1 for i in range(k)}
     b = {(1, 0): 1, (0, 1): p - 1}
     assert checked_mul(a, b, p) == {(k, 0): 1, (0, k): p - 1}
@@ -130,7 +138,7 @@ def test_product_that_cancels_to_zero(n, p):
 
 @pytest.mark.parametrize("p", [3, 7, 97])
 def test_unreduced_coefficients_stay_exact(p):
-    # coefficients of size p * 2^55 fit in int64, but their products would wrap
+    # coefficients of size p * 2^55: their products do not fit in int64
     rng = random.Random(f"unreduced:{p}")
     a = {mono: c + p * 2**55 for mono, c in exact_poly(rng, 3, 30, p).items()}
     b = {mono: c - p * 2**55 for mono, c in exact_poly(rng, 3, 30, p).items()}
@@ -139,11 +147,10 @@ def test_unreduced_coefficients_stay_exact(p):
 
 @pytest.mark.parametrize("p", [3, 7, 97])
 def test_wide_keys_take_the_exact_fallback(p):
-    # four 17-bit fields of 80,000 do not fit in a 62-bit key
+    """Four 17-bit fields of 80,000: a 68-bit key, past any machine word."""
     rng = random.Random(f"wide:{p}")
     a = {(40_000,) * 4: 1, **exact_poly(rng, 4, 20, p, max_exp=5)}
-    assert len(a) ** 2 >= PACKED_MIN_PAIRS
-    assert backend._packed_mul(a, a, p) is None
+    assert len(a) ** 2 >= CUTOFF_PAIRS
     want = sympy_mul(a, a, 4, p)
     assert want[(80_000,) * 4] == 1
     assert checked_mul(a, a, p) == want
@@ -151,32 +158,26 @@ def test_wide_keys_take_the_exact_fallback(p):
 
 
 def test_exponents_beyond_int64_take_the_exact_fallback():
+    """Exponents of 2^70 stay exact: a key is as wide as it needs to be."""
     huge = 2**70
     a = {(huge, i): 1 for i in range(20)}
     b = {(i, 0): 2 for i in range(20)}
-    assert backend._packed_mul(a, b, 3) is None
     assert checked_mul(a, b, 3) == sympy_mul(a, b, 2, 3)
 
 
 @st.composite
 def kernel_operands(draw):
-    """(a, b, p) with |a|*|b| on either side of PACKED_MIN_PAIRS.
-
-    One term of a may have a large exponent in every variable: 2^16 packs
-    for n <= 3, 2^31 packs only for n = 1, and 2^63 does not fit in int64.
-    """
+    """(a, b, p): empty or not, signed unreduced coefficients, and perhaps
+    one term with exponents up to 2^70 in every variable."""
     p = draw(st.sampled_from([3, 5, 7, 97]))
     n = draw(st.integers(1, 4))
-    size_b = draw(st.integers(4, 16))
-    pairs = draw(st.integers(PACKED_MIN_PAIRS // 2, 2 * PACKED_MIN_PAIRS))
-    size_a = -(-pairs // size_b)
     mono = st.tuples(*[st.integers(0, 99)] * n)
-    coeff = st.integers(-p * p, p * p)
-    a = draw(st.dictionaries(mono, coeff, min_size=size_a, max_size=size_a))
-    b = draw(st.dictionaries(mono, coeff, min_size=size_b, max_size=size_b))
-    top = draw(st.sampled_from([None, 2**16, 2**31, 2**63]))
+    coeff = st.integers(-(p**3), p**3)
+    a = draw(st.dictionaries(mono, coeff, max_size=300))
+    b = draw(st.dictionaries(mono, coeff, max_size=12))
+    top = draw(st.sampled_from([None, 2**16, 2**31, 2**63, 2**70]))
     if top is not None:
-        a[(top,) * n] = draw(coeff)
+        a[tuple(draw(st.integers(0, top)) for _ in range(n))] = draw(coeff)
     return a, b, p
 
 
@@ -184,49 +185,9 @@ def kernel_operands(draw):
 @given(operands=kernel_operands())
 def test_poly_mul_matches_the_dict_loop(operands):
     a, b, p = operands
-    want = backend._dict_mul(a, b, p)
+    want = poly_mul_dict(a, b, p)
     assert checked_mul(a, b, p) == want
     assert checked_mul(b, a, p) == want
-    packed = backend._packed_mul(a, b, p)
-    assert packed is None or packed == want
-
-
-@st.composite
-def unsorted_operands(draw):
-    """(a, b, p) with |a|*|b| on either side of BLOCK_PAIRS, a in an
-    insertion order the dict loop makes: shuffled, or a dict-loop product of
-    operands whose exponents never collide, so its packed keys come unsorted.
-    """
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    p = draw(st.sampled_from([3, 5, 7, 97]))
-    n = draw(st.integers(1, 4))
-    size_b = draw(st.integers(1, 40))
-    if draw(st.booleans()):
-        pairs = draw(st.integers(BLOCK_PAIRS + 1, 2 * BLOCK_PAIRS))
-    else:
-        pairs = draw(st.integers(BLOCK_PAIRS // 2, BLOCK_PAIRS - 40))
-    size_a = -(-pairs // size_b)
-    b = exact_poly(rng, n, size_b, p)
-    if draw(st.booleans()):
-        items = list(exact_poly(rng, n, size_a, p).items())
-        rng.shuffle(items)
-        a = dict(items)
-    else:
-        low = exact_poly(rng, n, draw(st.integers(2, 10)), p, max_exp=9)
-        high = exact_poly(rng, n, -(-size_a // len(low)), p)
-        high = {tuple(10 * e for e in mono): c for mono, c in high.items()}
-        a = backend._dict_mul(low, high, p)
-        assert len(a) == len(low) * len(high)
-    return a, b, p
-
-
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(operands=unsorted_operands())
-def test_packed_path_on_unsorted_operands(operands):
-    a, b, p = operands
-    want = backend._dict_mul(a, b, p)
-    assert backend._packed_mul(a, b, p) == want
-    assert backend._packed_mul(b, a, p) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -257,10 +218,23 @@ def test_poly_pow_matches_repeated_product():
     assert poly_pow(x, 0, p, n) == {(0, 0, 0): 1}
     assert poly_pow(x, 1, p, n) == x
     assert poly_pow(x, 5, p, n) == from_sympy(to_sympy(x, n, p) ** 5, p)
-    # x^6 has 28 terms, so its square goes through the packed path
+    # x^12 = frobenius(x) * x^5
     assert poly_pow(x, 12, p, n) == from_sympy(to_sympy(x, n, p) ** 12, p)
     # Frobenius: the p-th power of a linear form is additive
     assert poly_pow(x, p, p, n) == {(7, 0, 0): 1, (0, 7, 0): 3, (0, 0, 7): 6}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_poly_pow_past_p_matches_sympy(n, p):
+    """Exponents p, p + 1, 2p + 1 and p^2 + 2, where poly_pow uses Frobenius."""
+    rng = random.Random(f"frobenius:{n}:{p}")
+    for _ in range(3):
+        x = random_poly(rng, n, rng.randint(1, 4), 2, p)
+        x[(0,) * n] = rng.randint(1, p - 1)  # a constant term
+        for e in (p, p + 1, 2 * p + 1, p * p + 2):
+            assert poly_pow(x, e, p, n) == from_sympy(to_sympy(x, n, p) ** e, p)
+        assert frobenius(x, p) == from_sympy(to_sympy(x, n, p) ** p, p)
 
 
 def test_empty_operands():

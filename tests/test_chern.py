@@ -125,13 +125,14 @@ class TestTotalChern:
 
 
 # a*reg is drawn only where the sequential oracle stays cheap; at (5,3) and
-# (7,3) c(reg)^a is checked against the Dickson sum below
+# (7,3) c(reg)^a is checked against the Dickson sum below.  a = p, and
+# extra multiplicities up to p + 1, reach the Frobenius step of poly_pow
 SPLIT_CASES = [
     (p, n, a)
     for p in (3, 5, 7)
     for n in (1, 2, 3)
-    for a in (0, 1, 2)
-    if a == 0 or p**n < 125
+    for a in (0, 1, 2, p)
+    if a == 0 or (a < p and p**n < 125) or p**n <= 27
 ]
 
 
@@ -144,7 +145,7 @@ def split_multisets(draw, cfg, a):
     if a and draw(st.booleans()):
         del weights[draw(st.sampled_from(nonzero))]
     vector = st.tuples(*[st.integers(0, p - 1)] * n)
-    for v, m in draw(st.lists(st.tuples(vector, st.integers(1, 3)), max_size=5)):
+    for v, m in draw(st.lists(st.tuples(vector, st.integers(1, p + 1)), max_size=5)):
         weights[v] = weights.get(v, 0) + m
     zero = draw(st.integers(0, 2))
     if zero:
@@ -191,8 +192,8 @@ class TestRegularRepresentation:
         assert all(m == 1 for _, m in reg.items())
         assert len(reg.weights) == 9
 
-    # (5,3) multiplies a 93,601-term partial product by 1 + v, over several
-    # blocks of the packed kernel
+    # the coset tree's c(reg) against the Dickson classes, which come from
+    # the recursion for f_n: two independent routes, up to 124 weights at (5,3)
     @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2), (3, 3), (5, 3)])
     def test_alternating_dickson_sum(self, p, n):
         cfg = Config(p, n)
