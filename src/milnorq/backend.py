@@ -79,13 +79,7 @@ def frobenius(poly, p):
 
 
 def poly_pow(poly, e, p, n):
-    """poly ** e mod p; n is the number of variables.
-
-    For e >= p, x^e = frobenius(x^(e // p)) * x^(e % p); below p, repeated
-    squaring.
-    """
-    if e >= p:
-        return poly_mul(frobenius(poly_pow(poly, e // p, p, n), p), poly_pow(poly, e % p, p, n), p)
+    """poly ** e mod p by repeated squaring; n is the number of variables."""
     result = {(0,) * n: 1}
     base = poly
     while e:

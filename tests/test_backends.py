@@ -4,11 +4,6 @@ The oracle is sympy's sparse polynomial ring over GF(p), which multiplies
 dicts of exponent tuples in pure Python and never packs exponents, so it is
 independent of poly_mul's packed keys.  A hypothesis test also checks
 poly_mul against tests/oracles.py::poly_mul_dict, the plain dict loop.
-
-Some sizes and names below date from an earlier kernel that sent products
-of CUTOFF_PAIRS pairs or more to a numpy path on packed int64 keys, formed
-BLOCK_SIZE pairs at a time, with a dict-loop fallback for keys wider than
-62 bits.  Those boundaries stay as checks of the one loop.
 """
 
 import random
@@ -23,9 +18,6 @@ from oracles import poly_mul_dict
 sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import GF  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
-
-CUTOFF_PAIRS = 128
-BLOCK_SIZE = 1 << 15
 
 
 def random_poly(rng, n, terms, max_exp, p):
@@ -90,9 +82,9 @@ def test_poly_mul_matches_sympy(n, p):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("p", [3, 7, 97])
-@pytest.mark.parametrize("pairs", [CUTOFF_PAIRS - 1, CUTOFF_PAIRS, CUTOFF_PAIRS + 1])
+@pytest.mark.parametrize("pairs", [127, 128, 129])
 def test_poly_mul_at_the_packed_cutoff(n, p, pairs):
-    """Exact sizes around CUTOFF_PAIRS, in both operand orders."""
+    """Exact shapes 127 x 1, 16 x 8 and 43 x 3, in both operand orders."""
     rng = random.Random(f"cutoff:{n}:{p}:{pairs}")
     la, lb = shape(pairs)
     for _ in range(3):
@@ -107,18 +99,18 @@ def test_poly_mul_at_the_packed_cutoff(n, p, pairs):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("p", [3, 7, 97])
 def test_poly_mul_over_several_blocks(n, p):
-    """A large product: 80,000 pairs, more than two BLOCK_SIZE."""
+    """A large product: 80,000 pairs."""
     rng = random.Random(f"blocks:{n}:{p}")
     a = exact_poly(rng, n, 4_000, p)
     b = exact_poly(rng, n, 20, p)
-    assert len(a) * len(b) > 2 * BLOCK_SIZE
     assert checked_mul(a, b, p) == sympy_mul(a, b, n, p)
 
 
 @pytest.mark.parametrize("p", [3, 7, 97])
 def test_cancellation_across_blocks(p):
-    # (x - y) * sum_{i<k} x^i y^(k-1-i) = x^k - y^k: all other 2k - 2 terms cancel
-    k = BLOCK_SIZE + 5
+    # (x - y) * sum_{i<k} x^i y^(k-1-i) = x^k - y^k: all other 2k - 2 terms
+    # cancel, over 65,546 pairs
+    k = 2**15 + 5
     a = {(i, k - 1 - i): 1 for i in range(k)}
     b = {(1, 0): 1, (0, 1): p - 1}
     assert checked_mul(a, b, p) == {(k, 0): 1, (0, k): p - 1}
@@ -150,7 +142,6 @@ def test_wide_keys_take_the_exact_fallback(p):
     """Four 17-bit fields of 80,000: a 68-bit key, past any machine word."""
     rng = random.Random(f"wide:{p}")
     a = {(40_000,) * 4: 1, **exact_poly(rng, 4, 20, p, max_exp=5)}
-    assert len(a) ** 2 >= CUTOFF_PAIRS
     want = sympy_mul(a, a, 4, p)
     assert want[(80_000,) * 4] == 1
     assert checked_mul(a, a, p) == want
@@ -218,7 +209,6 @@ def test_poly_pow_matches_repeated_product():
     assert poly_pow(x, 0, p, n) == {(0, 0, 0): 1}
     assert poly_pow(x, 1, p, n) == x
     assert poly_pow(x, 5, p, n) == from_sympy(to_sympy(x, n, p) ** 5, p)
-    # x^12 = frobenius(x) * x^5
     assert poly_pow(x, 12, p, n) == from_sympy(to_sympy(x, n, p) ** 12, p)
     # Frobenius: the p-th power of a linear form is additive
     assert poly_pow(x, p, p, n) == {(7, 0, 0): 1, (0, 7, 0): 3, (0, 0, 7): 6}
@@ -227,7 +217,7 @@ def test_poly_pow_matches_repeated_product():
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_poly_pow_past_p_matches_sympy(n, p):
-    """Exponents p, p + 1, 2p + 1 and p^2 + 2, where poly_pow uses Frobenius."""
+    """Exponents p, p + 1, 2p + 1 and p^2 + 2, and frobenius as the p-th power."""
     rng = random.Random(f"frobenius:{n}:{p}")
     for _ in range(3):
         x = random_poly(rng, n, rng.randint(1, 4), 2, p)

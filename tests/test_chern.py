@@ -126,7 +126,7 @@ class TestTotalChern:
 
 # a*reg is drawn only where the sequential oracle stays cheap; at (5,3) and
 # (7,3) c(reg)^a is checked against the Dickson sum below.  a = p, and
-# extra multiplicities up to p + 1, reach the Frobenius step of poly_pow
+# extra multiplicities up to p + 1, take poly_pow to exponents p and past
 SPLIT_CASES = [
     (p, n, a)
     for p in (3, 5, 7)
