@@ -9,8 +9,6 @@ from .algebra import (
     Config,
     ExtClass,
     LinearSubst,
-    ext_mul,
-    homogeneous_part,
     substitute_linear,
 )
 from .backend import backend_name
@@ -66,8 +64,6 @@ __all__ = [
     "Config",
     "ExtClass",
     "LinearSubst",
-    "ext_mul",
-    "homogeneous_part",
     "substitute_linear",
     "parse_class",
     "render_class",

@@ -323,15 +323,6 @@ def _accumulate(parts, mask, mono, coeff, p):
             del parts[mask]
 
 
-def ext_mul(a, b):
-    """Graded-commutative product; Koszul signs on exterior merges."""
-    return a * b
-
-
-def homogeneous_part(x, d):
-    return x.homogeneous_part(d)
-
-
 class LinearSubst:
     """An invertible n x n matrix over F_p acting by substitution.
 

@@ -25,6 +25,7 @@ c(reg) with the Dickson sum still checks one route against another.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .algebra import ExtClass, LinearSubst, substitute_linear
 from .backend import add_into, poly_mul, poly_pow
@@ -213,37 +214,16 @@ def _coordinate_change(cfg, v):
     return LinearSubst(cfg, rows)
 
 
-def _strip_first_var(poly):
-    """Split a polynomial dict into layers by the exponent of t_1."""
-    layers = {}
-    for mono, c in poly.items():
-        layers.setdefault(mono[0], {})[(0,) + mono[1:]] = c
-    return layers
-
-
-def _divide_once(layers, p):
-    """Divide sum_i a_i t_1^i by (1 + t_1); returns (quotient_layers, remainder)."""
-    if not layers:
-        return {}, {}
-    top = max(layers)
-    quotient = {}
-    carry = {}
-    for i in range(top, 0, -1):
-        coeff = add_into(dict(layers.get(i, {})), carry, -1, p)
-        if coeff:
-            quotient[i - 1] = coeff
-        carry = coeff
-    remainder = add_into(dict(layers.get(0, {})), carry, -1, p)
-    return quotient, remainder
-
-
 def divisibility_profile(x, cfg=None):
     """For each nonzero v, the exact power of (1 + v) dividing x.
 
-    x must be a polynomial class with constant term 1.  The exponent is
-    found by a coordinate change taking v to t_1 followed by repeated
-    univariate division by (1 + t_1).  The loop visits all p^n vectors,
-    so it takes the desk-scale check first.
+    x must be a polynomial class with constant term 1.  A coordinate change
+    takes v to t_1 and splits the image as sum_i a_i t_1^i, each layer a_i
+    free of t_1.  Written in powers of 1 + t_1 it is sum_j b_j (1 + t_1)^j
+    with b_j = sum_i C(i, j) (-1)^(i-j) a_i, so the exponent is the least j
+    with b_j != 0: one pass over the layers per order j, with no quotient
+    built.  The loop visits all p^n vectors, so it takes the desk-scale
+    check first.
     """
     cfg = x.cfg if cfg is None else cfg
     _guard_points(cfg)
@@ -253,18 +233,19 @@ def divisibility_profile(x, cfg=None):
     for v in itertools.product(range(p), repeat=n):
         if not any(v):
             continue
-        g = _coordinate_change(cfg, v)
-        moved = substitute_linear(g, x)
-        layers = _strip_first_var(moved.parts.get(0, {}))
+        layers = {}
+        for mono, c in substitute_linear(_coordinate_change(cfg, v), x).parts[0].items():
+            layers.setdefault(mono[0], {})[mono[1:]] = c
         mu = 0
         while True:
-            quotient, remainder = _divide_once(layers, p)
-            if remainder:
+            taylor = {}
+            for i, a in layers.items():
+                c = math.comb(i, mu) % p  # 0 for i < mu
+                if c:
+                    add_into(taylor, a, (-1) ** (i - mu) * c, p)
+            if taylor:
                 break
             mu += 1
-            layers = quotient
-            if not layers:
-                break
         profile[v] = mu
     return profile
 

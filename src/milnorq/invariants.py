@@ -4,14 +4,14 @@ Centerpieces: the product f_n(X) = prod_{v in V_n} (X + v), kept as one
 sparse polynomial of milnorq.backend in the variables (X, t_1, ..., t_n),
 whose only nonzero coefficients sit at X-exponents p^0..p^n and define the
 Dickson classes c_{n,i}; the class e_n = Q_0...Q_{n-1}(dt_1...dt_n), equal
-to a Moore determinant, which transforms by the determinant character; and
-the per-degree linear algebra that makes invariance, membership and
-dimension questions executable.
+to a Moore determinant, which transforms by the determinant character;
+membership in D_n and SD_n by subduction over the generators' lead
+monomials; and the per-degree linear algebra of invariant dimensions.
 
-Only membership_dickson and the grade solver of invariant_dimension build
-numpy matrices, and they import numpy once past their byte guards: the
-Dickson classes, invariance checks, orbits and refused calls run without
-it, so the calls that need only those never load it.
+Only the grade solver of invariant_dimension builds matrices, and it
+imports numpy once past its byte guard: the Dickson classes, invariance
+checks, membership, orbits and refused calls run without it, so the calls
+that need only those never load it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .algebra import (
 )
 from .backend import add_into, frobenius, poly_mul, poly_pow
 from .errors import ConsistencyError, guard
-from .linalg import kernel_basis, solve
+from .linalg import kernel_basis
 from .steenrod import apply_word
 
 DESK_SCALE_POINTS = 400  # refuse group-size work beyond p^n of this size
@@ -206,7 +206,6 @@ def group_generators(cfg, kind):
 
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _group_spec(cfg, kind):
-    kind = kind.upper()
     if kind not in ("SL", "GL"):
         raise ValueError(f"unknown group kind {kind!r}")
     n = cfg.n
@@ -225,7 +224,7 @@ def _group_spec(cfg, kind):
 
 # cache_info() counts the one cache; __wrapped__ builds the group uncached
 group_generators.cache_info = _group_spec.cache_info
-group_generators.__wrapped__ = _group_spec.__wrapped__
+group_generators.__wrapped__ = lambda cfg, kind: _group_spec.__wrapped__(cfg, kind.upper())
 
 
 def is_invariant(x, group):
@@ -320,9 +319,12 @@ def check_membership_bytes(cfg, d, degrees):
     under INVARIANT_MATRIX_BYTES by an estimate of its peak.
 
     The estimate is MEMBERSHIP_ROW_BYTES x rows + MEMBERSHIP_CELL_BYTES x
-    rows x cols for rows monomials and cols candidate products: tracemalloc
-    peaks at (3, 2) to (3, 4), with up to 708,561 rows and 251 candidates,
-    were about 200 B a row plus 44-71 B a cell.  rows is a binomial; the
+    rows x cols for rows monomials and cols candidate products, measured
+    on the dense solver that subduction replaced: tracemalloc peaks at
+    (3, 2) to (3, 4), up to 708,561 rows and 251 candidates, were about
+    200 B a row plus 44-71 B a cell.  Subduction holds the remainder and
+    one product g^E, each of at most rows terms, so the estimate is kept as
+    an upper bound and refuses the same calls.  rows is a binomial; the
     candidates, at most rows as Dickson monomials are linearly independent,
     are counted only when rows alone fits and cols = rows would not.
     """
@@ -347,6 +349,15 @@ def membership_dickson(x, ring):
     yields the empty decomposition.  check_membership_bytes prices the work
     from the generator degrees, before the generators, any monomial or any
     product is built.
+
+    Decided by subduction (Robbiano & Sweedler, "Subalgebra bases", 1990).
+    In lex order with t_1 first, the generators' lead monomials have
+    linearly independent exponent vectors, so the products g^E have
+    distinct leads sum(E[i] * lead(g_i)), and the lead of a member is the
+    lead of one g^E in its expansion.  While the remainder is nonzero, its
+    lead m either is no such sum with E >= 0, and x is not a member, or
+    subtracting a multiple of g^E removes m and leaves smaller monomials
+    only; there are finitely many of degree d, so the loop ends.
     """
     cfg = x.cfg
     if not x.is_polynomial():
@@ -358,30 +369,38 @@ def membership_dickson(x, ring):
     d = x.degree()
     degrees = _generator_degrees(cfg, ring)
     check_membership_bytes(cfg, d, degrees)
-    candidates = list(_compositions(d, degrees))
-    if not candidates:
+    if next(_compositions(d, degrees), None) is None:
         return None
-    import numpy as np  # past the guard: a refused call never loads it
-
+    p, n = cfg.p, cfg.n
     _, gens = ring_generators(cfg, ring)
-    power = lru_cache(maxsize=None)(lambda i, e: gens[i] ** e)  # for this call only
-    products = [
-        math.prod((power(i, e) for i, e in enumerate(exps) if e), start=ExtClass.one(cfg))
-        for exps in candidates
-    ]
-    monos = list(monomials(cfg.n, d // 2))
-    index = {mono: r for r, mono in enumerate(monos)}
-    a = np.zeros((len(monos), len(products)), dtype=np.int64)
-    for col, prod in enumerate(products):
-        for mono, c in prod.parts.get(0, {}).items():
-            a[index[mono], col] = c
-    b = np.zeros(len(monos), dtype=np.int64)
-    for mono, c in x.parts.get(0, {}).items():
-        b[index[mono]] = c
-    sol = solve(a, b, cfg.p)
-    if sol is None:
-        return None
-    return {candidates[i]: int(v) for i, v in enumerate(sol) if v}
+    leads = [max(g.parts[0]) for g in gens]
+    # order[k]: the generator whose lead has its last nonzero exponent at t_(k+1)
+    last = [max((k for k, e in enumerate(lead) if e), default=-1) for lead in leads]
+    if sorted(last) != list(range(n)):
+        raise ConsistencyError(f"lead monomials {leads} are not one per variable")
+    order = [last.index(k) for k in range(n)]
+    rest = dict(x.parts[0])
+    decomposition = {}
+    while rest:
+        m = max(rest)
+        # E one variable at a time, last first: of the leads not yet used,
+        # only leads[order[k]] reaches variable k
+        exps, left = [0] * n, list(m)
+        for k in reversed(range(n)):
+            i = order[k]
+            exps[i], r = divmod(left[k], leads[i][k])
+            left = [a - exps[i] * b for a, b in zip(left, leads[i])]
+            if r or min(left) < 0:
+                return None
+        exps = tuple(exps)
+        product = math.prod((g**e for g, e in zip(gens, exps) if e), start=ExtClass.one(cfg))
+        product = product.parts[0]
+        if max(product) != m:
+            raise ConsistencyError(f"lead of the product with exponents {exps} is not {m}")
+        c = rest[m] * pow(product[m], -1, p) % p
+        add_into(rest, product, -c, p)
+        decomposition[exps] = c
+    return decomposition
 
 
 def decomposition_text(cfg, ring, decomposition):
@@ -545,14 +564,11 @@ def predicted_dimension(cfg, d, ring):
     if d < 0:
         raise ValueError("degree must be non-negative")
     ring = ring.upper()
-    p, n = cfg.p, cfg.n
-    deg_e = 2 * (p**n - 1) // (p - 1)
-    if ring in ("SD", "SM"):
-        base = [deg_e] + [2 * (p**n - p**i) for i in range(n - 1, 0, -1)]
-    elif ring in ("D", "M"):
-        base = [2 * (p**n - p**i) for i in range(n - 1, -1, -1)]
-    else:
+    algebra = {"SD": "SD", "SM": "SD", "D": "D", "M": "D"}.get(ring)
+    if algebra is None:
         raise ValueError(f"unknown ring {ring!r}")
+    p, n = cfg.p, cfg.n
+    base = _generator_degrees(cfg, algebra)
     ways = [0] * (d + 1)
     ways[0] = 1
     for g in base:
@@ -563,6 +579,6 @@ def predicted_dimension(cfg, d, ring):
     elif ring == "SM":
         module = [0, n] + _qword_degrees(cfg)
     else:
-        shift = (p - 2) * deg_e
+        shift = (p - 2) * _generator_degrees(cfg, "SD")[0]  # e^(p-2)
         module = [0, shift + n] + [shift + q for q in _qword_degrees(cfg)]
     return sum(ways[d - g] for g in module if 0 <= d - g)

@@ -19,6 +19,14 @@
   the kernel, where algebra.substitute_linear applies the shear factors of g
   one binomial expansion at a time.  det_by_permutations is the Leibniz
   formula, where LinearSubst.det is the product of the diagonal factor.
+- Membership in D_n and SD_n: membership_dickson_dense solves one dense
+  system of every degree-d monomial against every candidate product with
+  linalg.solve, where invariants.membership_dickson works by subduction
+  over the lead monomials of the generators.
+- Divisibility by (1 + t_1): strip_first_var and divide_once divide the
+  layers by 1 + t_1 one quotient at a time, where
+  chern.divisibility_profile reads the exponent from the Taylor
+  coefficients of the layers at t_1 = -1.
 """
 
 import itertools
@@ -28,7 +36,15 @@ import numpy as np
 
 from milnorq.algebra import _SIGN, ExtClass, _bits, _perm_sign, substitute_linear
 from milnorq.backend import add_into, poly_mul, poly_pow
-from milnorq.invariants import _guard_points, degree_basis
+from milnorq.invariants import (
+    _compositions,
+    _generator_degrees,
+    _guard_points,
+    degree_basis,
+    monomials,
+    ring_generators,
+)
+from milnorq.linalg import solve
 
 
 def poly_mul_dict(a, b, p):
@@ -206,3 +222,57 @@ def invariant_dimension_stacked(cfg, d, group):
                 parts.setdefault(mask, {})[mono] = int(c)
         classes.append(ExtClass(cfg, parts))
     return len(classes), classes
+
+
+def membership_dickson_dense(x, ring):
+    """membership_dickson as one dense system: every degree-d monomial is a
+    row, every candidate product of the generators a column."""
+    cfg = x.cfg
+    if not x:
+        return {}
+    d = x.degree()
+    candidates = list(_compositions(d, _generator_degrees(cfg, ring)))
+    if not candidates:
+        return None
+    _, gens = ring_generators(cfg, ring)
+    products = [
+        math.prod((gens[i] ** e for i, e in enumerate(exps) if e), start=ExtClass.one(cfg))
+        for exps in candidates
+    ]
+    monos = list(monomials(cfg.n, d // 2))
+    index = {mono: r for r, mono in enumerate(monos)}
+    a = np.zeros((len(monos), len(products)), dtype=np.int64)
+    for col, prod in enumerate(products):
+        for mono, c in prod.parts.get(0, {}).items():
+            a[index[mono], col] = c
+    b = np.zeros(len(monos), dtype=np.int64)
+    for mono, c in x.parts.get(0, {}).items():
+        b[index[mono]] = c
+    sol = solve(a, b, cfg.p)
+    if sol is None:
+        return None
+    return {candidates[i]: int(v) for i, v in enumerate(sol) if v}
+
+
+def strip_first_var(poly):
+    """Split a polynomial dict into layers by the exponent of t_1."""
+    layers = {}
+    for mono, c in poly.items():
+        layers.setdefault(mono[0], {})[(0,) + mono[1:]] = c
+    return layers
+
+
+def divide_once(layers, p):
+    """Divide sum_i a_i t_1^i by (1 + t_1); returns (quotient_layers, remainder)."""
+    if not layers:
+        return {}, {}
+    top = max(layers)
+    quotient = {}
+    carry = {}
+    for i in range(top, 0, -1):
+        coeff = add_into(dict(layers.get(i, {})), carry, -1, p)
+        if coeff:
+            quotient[i - 1] = coeff
+        carry = coeff
+    remainder = add_into(dict(layers.get(0, {})), carry, -1, p)
+    return quotient, remainder

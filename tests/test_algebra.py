@@ -10,8 +10,6 @@ from milnorq import (
     ConfigMismatchError,
     ExtClass,
     LinearSubst,
-    ext_mul,
-    homogeneous_part,
     substitute_linear,
 )
 from conftest import CONFIGS, random_class, random_homogeneous, random_subst
@@ -46,17 +44,17 @@ class TestExteriorProduct:
     def test_ascending_merge_has_no_sign(self):
         cfg = Config(3, 2)
         dt1, dt2 = ExtClass.dt(cfg, 1), ExtClass.dt(cfg, 2)
-        assert ext_mul(dt1, dt2) == ExtClass.dt_top(cfg)
+        assert dt1 * dt2 == ExtClass.dt_top(cfg)
 
     def test_one_transposition_flips_sign(self):
         cfg = Config(3, 2)
         dt1, dt2 = ExtClass.dt(cfg, 1), ExtClass.dt(cfg, 2)
-        assert ext_mul(dt2, dt1) == -ExtClass.dt_top(cfg)
+        assert dt2 * dt1 == -ExtClass.dt_top(cfg)
 
     def test_repeated_exterior_generator_annihilates(self):
         cfg = Config(3, 2)
         dt1 = ExtClass.dt(cfg, 1)
-        assert not ext_mul(dt1, dt1)
+        assert not dt1 * dt1
 
     def test_graded_commutativity(self, rng):
         for cfg in CONFIGS:
@@ -118,18 +116,18 @@ class TestHomogeneousPart:
         t1 = ExtClass.t(cfg, 1)
         product = (one + t1) * (one + 2 * t1)  # 1 - t1^2 over F_3
         assert product == one - t1 * t1
-        assert homogeneous_part(product, 4) == -(t1 * t1)
+        assert product.homogeneous_part(4) == -(t1 * t1)
 
     def test_exterior_term_degree(self):
         cfg = Config(3, 2)
         x = ExtClass.dt_top(cfg) + ExtClass.t(cfg, 1) * ExtClass.dt(cfg, 2)
-        assert homogeneous_part(x, 2) == ExtClass.dt_top(cfg)
+        assert x.homogeneous_part(2) == ExtClass.dt_top(cfg)
 
     def test_beyond_top_degree_is_zero(self, rng):
         for cfg in CONFIGS:
             x = random_class(rng, cfg)
-            assert not homogeneous_part(x, x.degree() + 1)
-            assert not homogeneous_part(x, x.degree() + 2)
+            assert not x.homogeneous_part(x.degree() + 1)
+            assert not x.homogeneous_part(x.degree() + 2)
 
     def test_parts_sum_back(self, rng):
         for cfg in CONFIGS:
@@ -137,13 +135,13 @@ class TestHomogeneousPart:
                 x = random_class(rng, cfg)
                 total = ExtClass.zero(cfg)
                 for d in range(x.degree() + 1):
-                    total = total + homogeneous_part(x, d)
+                    total = total + x.homogeneous_part(d)
                 assert total == x
 
     def test_rejects_negative_degree(self):
         cfg = Config(3, 2)
         with pytest.raises(ValueError):
-            homogeneous_part(ExtClass.one(cfg), -1)
+            ExtClass.one(cfg).homogeneous_part(-1)
 
 
 class TestSubstitution:

@@ -107,7 +107,7 @@ def test_poly_mul_over_several_blocks(n, p):
 
 
 @pytest.mark.parametrize("p", [3, 7, 97])
-def test_cancellation_across_blocks(p):
+def test_telescoping_product_cancels_to_two_terms(p):
     # (x - y) * sum_{i<k} x^i y^(k-1-i) = x^k - y^k: all other 2k - 2 terms
     # cancel, over 65,546 pairs
     k = 2**15 + 5
@@ -138,7 +138,7 @@ def test_unreduced_coefficients_stay_exact(p):
 
 
 @pytest.mark.parametrize("p", [3, 7, 97])
-def test_wide_keys_take_the_exact_fallback(p):
+def test_keys_wider_than_a_machine_word_stay_exact(p):
     """Four 17-bit fields of 80,000: a 68-bit key, past any machine word."""
     rng = random.Random(f"wide:{p}")
     a = {(40_000,) * 4: 1, **exact_poly(rng, 4, 20, p, max_exp=5)}
@@ -148,7 +148,7 @@ def test_wide_keys_take_the_exact_fallback(p):
     assert checked_mul({(40_000,) * 4: 1}, {(40_000,) * 4: 1}, p) == {(80_000,) * 4: 1}
 
 
-def test_exponents_beyond_int64_take_the_exact_fallback():
+def test_exponents_beyond_int64_stay_exact():
     """Exponents of 2^70 stay exact: a key is as wide as it needs to be."""
     huge = 2**70
     a = {(huge, i): 1 for i in range(20)}

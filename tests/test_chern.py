@@ -26,7 +26,7 @@ from milnorq import (
 from milnorq import chern
 from milnorq.chern import WeightMultiset, _coordinate_change
 from conftest import random_subst
-from oracles import total_chern_sequential
+from oracles import divide_once, strip_first_var, total_chern_sequential
 
 
 def random_multiset(rng, cfg, max_weights=4, max_mult=3, nonzero=False):
@@ -273,13 +273,11 @@ class TestDivisibilityProfile:
 
 
 def _count_divisions(moved):
-    from milnorq.chern import _divide_once, _strip_first_var
-
-    layers = _strip_first_var(moved.parts.get(0, {}))
+    layers = strip_first_var(moved.parts.get(0, {}))
     p = moved.cfg.p
     mu = 0
     while layers:
-        quotient, remainder = _divide_once(layers, p)
+        quotient, remainder = divide_once(layers, p)
         if remainder:
             break
         mu += 1

@@ -1,8 +1,9 @@
 """numpy is loaded only by the solvers: linalg and invariant_dimension's
-and membership_dickson's matrices.
+matrices.
 
-The import, the kernel products however large, and the CLI calls that
-never solve a system leave it unloaded.  Each check runs in a fresh
+The import, the kernel products however large, membership by subduction,
+and the other CLI calls that never solve a system leave it unloaded.
+Each check runs in a fresh
 interpreter: this test process already holds numpy (tests/oracles.py
 imports it), so sys.modules here says nothing.
 """
@@ -23,6 +24,9 @@ assert "numpy" not in sys.modules, "import milnorq"
 import milnorq.cli
 assert "numpy" not in sys.modules, "import milnorq.cli"
 """
+
+C1_32 = "t1^6 + t1^4*t2^2 + t1^2*t2^4 + t2^6"
+E_32 = "t1^3*t2 - t1*t2^3"
 
 # each a CLI call of its own, in a fresh interpreter
 QUIET_CALL = """
@@ -47,6 +51,11 @@ QUIET_CLI = [
     (0, ["dickson", "-p", "7", "-n", "3"]),
     (2, ["hilbert", "-p", "97", "-n", "4", "--group", "sl", "--max-degree", "40"]),
     (2, ["membership", "-p", "3", "-n", "4", "--ring", "d", "--expr", "t1^600"]),
+    # members (c1 and e at (3, 2)) and a non-member, on both rings
+    (0, ["membership", "-p", "3", "-n", "2", "--ring", "d", "--expr", C1_32]),
+    (0, ["membership", "-p", "3", "-n", "2", "--ring", "sd", "--expr", E_32]),
+    (0, ["membership", "-p", "3", "-n", "4", "--ring", "d", "--expr", "t1^162"]),
+    (0, ["membership", "-p", "3", "-n", "4", "--ring", "sd", "--expr", "t1^162"]),
 ]
 
 LARGE_PRODUCT = """

@@ -3,6 +3,8 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milnorq import (
     Config,
@@ -39,6 +41,7 @@ from oracles import (
     dickson_polynomial_naive,
     dickson_polynomial_shift,
     invariant_dimension_stacked,
+    membership_dickson_dense,
 )
 
 class TestDicksonPolynomial:
@@ -337,6 +340,70 @@ class TestMembership:
         finally:
             tracemalloc.stop()
         assert peak < estimate
+
+    def test_leads_that_are_not_one_per_variable_are_refused(self, monkeypatch):
+        cfg = Config(3, 2)
+        c1, _ = dickson_classes(cfg).c
+        twice = (["c1", "c1"], [c1, c1])  # both leads end at t_1
+        monkeypatch.setattr(invariants, "ring_generators", lambda cfg, ring: twice)
+        with pytest.raises(ConsistencyError, match="not one per variable"):
+            membership_dickson(c1, "D")
+
+    def test_a_product_whose_lead_is_not_the_sum_is_refused(self, monkeypatch):
+        cfg = Config(3, 2)
+        c1, _ = dickson_classes(cfg).c
+        # a faulty power: c1 ** 1 comes back as t2^6, whose lead is not c1's
+        monkeypatch.setattr(ExtClass, "__pow__", lambda self, e: ExtClass(cfg, {0: {(0, 6): 1}}))
+        with pytest.raises(ConsistencyError, match="lead of the product"):
+            membership_dickson(c1, "D")
+
+    def test_square_of_the_bottom_class_at_rank_four_stays_small(self):
+        # c0^2 at (3, 4) has 708,561 monomials of its degree; the dense
+        # system peaked at 167 MB, subduction holds one product at a time.
+        # The Dickson set is rebuilt under the trace.
+        cfg = Config(3, 4)
+        x = dickson_classes(cfg).c[-1] ** 2
+        invariants._dickson_set.cache_clear()
+        tracemalloc.start()
+        try:
+            dec = membership_dickson(x, "D")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dec == {(0, 0, 0, 2): 1}
+        assert peak < 16 << 20
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_subduction_matches_the_dense_system(self, data):
+        # p^n <= 125, with at most `budget` generator factors per candidate
+        # so the dense system stays small
+        p, n, budget = data.draw(
+            st.sampled_from(
+                [(3, 1, 6), (7, 1, 6), (3, 2, 4), (5, 2, 4), (11, 2, 3), (3, 3, 2),
+                 (5, 3, 2), (3, 4, 1)]
+            )
+        )
+        cfg = Config(p, n)
+        ring = data.draw(st.sampled_from(["D", "SD"]))
+        _, gens = ring_generators(cfg, ring)
+        top = data.draw(
+            st.lists(st.integers(0, budget), min_size=n, max_size=n).filter(
+                lambda e: 1 <= sum(e) <= budget
+            )
+        )
+        d = sum(e * g.degree() for e, g in zip(top, gens))
+        candidates = list(invariants._compositions(d, [g.degree() for g in gens]))
+        x = ExtClass.zero(cfg)
+        for exps in data.draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=3, unique=True)):
+            term = math.prod((g**e for g, e in zip(gens, exps)), start=ExtClass.one(cfg))
+            x = x + term.scale(data.draw(st.integers(1, p - 1)))
+        if data.draw(st.booleans()):
+            # perturb by one monomial of the same degree
+            cuts = sorted(data.draw(st.lists(st.integers(0, d // 2), min_size=n - 1, max_size=n - 1)))
+            mono = tuple(b - a for a, b in zip([0] + cuts, cuts + [d // 2]))
+            x = x + ExtClass(cfg, {0: {mono: data.draw(st.integers(1, p - 1))}})
+        assert membership_dickson(x, ring) == membership_dickson_dense(x, ring)
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
     def test_agreement_with_invariance(self, p, n, rng):
