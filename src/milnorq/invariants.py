@@ -37,7 +37,7 @@ from .steenrod import apply_word
 DESK_SCALE_POINTS = 400  # refuse group-size work beyond p^n of this size
 INVARIANT_MATRIX_BYTES = 1 << 30  # bound on the grade-solver estimate, see below
 GRADE_PEAK_FACTOR = 4  # measured peak bytes / (8 x G^2) is 3.0-3.5, see below
-MEMBERSHIP_ROW_BYTES = 256  # membership peak per monomial row, see below
+MEMBERSHIP_ROW_BYTES = 256  # dense-solver peak per monomial row, kept as a bound
 MEMBERSHIP_CELL_BYTES = 96  # and per (monomial, candidate) cell
 CACHE_ENTRIES = 16  # least recently used entries kept by the per-config caches
 

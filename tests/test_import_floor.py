@@ -3,9 +3,8 @@ matrices.
 
 The import, the kernel products however large, membership by subduction,
 and the other CLI calls that never solve a system leave it unloaded.
-Each check runs in a fresh
-interpreter: this test process already holds numpy (tests/oracles.py
-imports it), so sys.modules here says nothing.
+Each check runs in a fresh interpreter: this test process already holds
+numpy (tests/oracles.py imports it), so sys.modules here says nothing.
 """
 
 import os

@@ -358,8 +358,8 @@ class TestMembership:
             membership_dickson(c1, "D")
 
     def test_square_of_the_bottom_class_at_rank_four_stays_small(self):
-        # c0^2 at (3, 4) has 708,561 monomials of its degree; the dense
-        # system peaked at 167 MB, subduction holds one product at a time.
+        # c0^2 at (3, 4) has 708,561 monomials of its degree, and
+        # subduction holds no table of them, only one product at a time.
         # The Dickson set is rebuilt under the trace.
         cfg = Config(3, 4)
         x = dickson_classes(cfg).c[-1] ** 2
@@ -395,12 +395,14 @@ class TestMembership:
         d = sum(e * g.degree() for e, g in zip(top, gens))
         candidates = list(invariants._compositions(d, [g.degree() for g in gens]))
         x = ExtClass.zero(cfg)
-        for exps in data.draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=3, unique=True)):
+        chosen = st.lists(st.sampled_from(candidates), min_size=1, max_size=3, unique=True)
+        for exps in data.draw(chosen):
             term = math.prod((g**e for g, e in zip(gens, exps)), start=ExtClass.one(cfg))
             x = x + term.scale(data.draw(st.integers(1, p - 1)))
         if data.draw(st.booleans()):
             # perturb by one monomial of the same degree
-            cuts = sorted(data.draw(st.lists(st.integers(0, d // 2), min_size=n - 1, max_size=n - 1)))
+            cut = st.lists(st.integers(0, d // 2), min_size=n - 1, max_size=n - 1)
+            cuts = sorted(data.draw(cut))
             mono = tuple(b - a for a, b in zip([0] + cuts, cuts + [d // 2]))
             x = x + ExtClass(cfg, {0: {mono: data.draw(st.integers(1, p - 1))}})
         assert membership_dickson(x, ring) == membership_dickson_dense(x, ring)
