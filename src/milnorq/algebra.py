@@ -19,7 +19,6 @@ The diagonal then scales each term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .backend import add_into, poly_mul
@@ -37,18 +36,41 @@ def is_prime(m):
     return True
 
 
-@dataclass(frozen=True)
 class Config:
-    """Ambient parameters: an odd prime p and the rank n of the group."""
+    """Ambient parameters: an odd prime p and the rank n of the group.
 
-    p: int
-    n: int
+    Immutable and compared field by field, as it keys the per-config caches.
+    """
 
-    def __post_init__(self):
-        if not (3 <= self.p <= 97 and is_prime(self.p)):
-            raise ValueError(f"p must be an odd prime in [3, 97], got {self.p}")
-        if not 1 <= self.n <= 4:
-            raise ValueError(f"n must be in [1, 4], got {self.n}")
+    __slots__ = ("p", "n")
+
+    def __init__(self, p, n):
+        if not (3 <= p <= 97 and is_prime(p)):
+            raise ValueError(f"p must be an odd prime in [3, 97], got {p}")
+        if not 1 <= n <= 4:
+            raise ValueError(f"n must be in [1, 4], got {n}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Config")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Config")
+
+    def __eq__(self, other):
+        if other.__class__ is not Config:
+            return NotImplemented
+        return (self.p, self.n) == (other.p, other.n)
+
+    def __hash__(self):
+        return hash((self.p, self.n))
+
+    def __repr__(self):
+        return f"Config(p={self.p!r}, n={self.n!r})"
+
+    def __reduce__(self):
+        return Config, (self.p, self.n)
 
     @property
     def zero_mono(self):

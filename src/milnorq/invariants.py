@@ -8,17 +8,15 @@ to a Moore determinant, which transforms by the determinant character;
 membership in D_n and SD_n by subduction over the generators' lead
 monomials; and the per-degree linear algebra of invariant dimensions.
 
-Only the grade solver of invariant_dimension builds matrices, and it
-imports numpy once past its byte guard: the Dickson classes, invariance
-checks, membership, orbits and refused calls run without it, so the calls
-that need only those never load it.
+Only the grade solver of invariant_dimension builds matrices: sparse
+{column: value} rows, solved mod p by milnorq.linalg in pure Python, so
+no call of the package loads numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import (
@@ -31,12 +29,12 @@ from .algebra import (
 )
 from .backend import add_into, frobenius, poly_mul, poly_pow
 from .errors import ConsistencyError, guard
-from .linalg import kernel_basis
+from .linalg import Matrix, kernel_basis
 from .steenrod import apply_word
 
 DESK_SCALE_POINTS = 400  # refuse group-size work beyond p^n of this size
 INVARIANT_MATRIX_BYTES = 1 << 30  # bound on the grade-solver estimate, see below
-GRADE_PEAK_FACTOR = 4  # measured peak bytes / (8 x G^2) is 3.0-3.5, see below
+GRADE_PEAK_FACTOR = 4  # dense-solver peak / (8 x G^2) was 3.0-3.5, kept as a bound
 MEMBERSHIP_ROW_BYTES = 256  # dense-solver peak per monomial row, kept as a bound
 MEMBERSHIP_CELL_BYTES = 96  # and per (monomial, candidate) cell
 CACHE_ENTRIES = 16  # least recently used entries kept by the per-config caches
@@ -71,13 +69,23 @@ def dickson_polynomial(cfg):
     return f
 
 
-@dataclass(frozen=True)
 class DicksonSet:
     """e_n together with (c_{n,n-1}, ..., c_{n,0})."""
 
-    cfg: Config
-    e: ExtClass
-    c: tuple
+    __slots__ = ("cfg", "e", "c")
+
+    def __init__(self, cfg, e, c):
+        self.cfg = cfg
+        self.e = e
+        self.c = c
+
+    def __eq__(self, other):
+        if other.__class__ is not DicksonSet:
+            return NotImplemented
+        return (self.cfg, self.e, self.c) == (other.cfg, other.e, other.c)
+
+    def __hash__(self):
+        return hash((self.cfg, self.e, self.c))
 
     def to_json(self):
         from .exprio import class_to_json
@@ -186,13 +194,23 @@ def primitive_root(p):
     raise ValueError(f"no primitive root found mod {p}")
 
 
-@dataclass(frozen=True)
 class GroupSpec:
     """A named matrix group given by generators."""
 
-    kind: str
-    cfg: Config
-    generators: tuple
+    __slots__ = ("kind", "cfg", "generators")
+
+    def __init__(self, kind, cfg, generators):
+        self.kind = kind
+        self.cfg = cfg
+        self.generators = generators
+
+    def __eq__(self, other):
+        if other.__class__ is not GroupSpec:
+            return NotImplemented
+        return (self.kind, self.cfg, self.generators) == (other.kind, other.cfg, other.generators)
+
+    def __hash__(self):
+        return hash((self.kind, self.cfg, self.generators))
 
 
 def group_generators(cfg, kind):
@@ -451,14 +469,20 @@ def check_invariant_matrix_bytes(cfg, d):
     """Raise ResourceGuardError unless invariant_dimension at degree d fits
     under INVARIANT_MATRIX_BYTES by an estimate of its peak.
 
-    invariant_dimension solves one exterior grade at a time, and its
-    largest arrays are square in the size G of the grade: the first
-    generator's G x G int64 matrix of g.v - v and the copies that rref and
-    kernel_basis make of it.  The estimate is GRADE_PEAK_FACTOR x G^2 x 8
-    bytes for the largest grade: with G from 500 to 2,730 (SL and GL at
-    (3, 4), SL at (5, 3) and (97, 4)) the tracemalloc peak is
-    3.0-3.5 x G^2 x 8 bytes.  Nothing is allocated here: the grade sizes
-    come from grade_sizes, not from the basis.
+    invariant_dimension solves one exterior grade at a time.  The estimate
+    is GRADE_PEAK_FACTOR x G^2 x 8 bytes for the largest grade size G,
+    measured on the dense int64 solver that the sparse one replaced: with
+    G from 500 to 2,730 (SL and GL at (3, 4), SL at (5, 3) and (97, 4))
+    its tracemalloc peak was 3.0-3.5 x G^2 x 8 bytes.  The sparse rows hold
+    only the few Lucas-binomial terms of each g.v - v, so the estimate is
+    kept as an upper bound and refuses the same calls.  Sparse tracemalloc
+    peaks at (3, 4) SL, each degree in a fresh process: 43 KB against an
+    estimate of 51 KB at d = 5 (G = 40), falling to 0.033 of it at d = 20
+    (1.8 MB, G = 1,320) and 0.021 at d = 24 (3.2 MB, G = 2,184); at d <= 4
+    the whole call peaks at 4-24 KB, the size of a few dicts, above
+    estimates of 32 B to 18 KB.
+    Nothing is allocated here: the grade sizes come from grade_sizes, not
+    from the basis.
     """
     size = max(grade_sizes(cfg, d))
     needed = GRADE_PEAK_FACTOR * size * size * 8
@@ -471,35 +495,33 @@ def check_invariant_matrix_bytes(cfg, d):
 
 
 def _grade_class(cfg, grade, vec):
-    """The class with coordinates vec on the basis elements of grade."""
-    import numpy as np
-
+    """The class with coordinates vec, a {index: value} dict, on the basis
+    elements of grade."""
     parts = {}
-    for i in np.flatnonzero(vec).tolist():
+    for i, c in vec.items():
         mask, mono = grade[i]
-        parts.setdefault(mask, {})[mono] = int(vec[i])
+        parts.setdefault(mask, {})[mono] = c
     return ExtClass(cfg, parts)
 
 
 def _moved(cfg, g, grade, kern):
     """The matrix whose column j is g.v - v mod p, for v the j-th row of kern.
 
-    kern None stands for the identity: v runs over the basis of the grade.
+    Each g.v - v is a {index: value} dict on the coordinates of grade; the
+    matrix holds one row per coordinate that some column reaches.
     """
-    import numpy as np
-
+    p = cfg.p
     index = {b: i for i, b in enumerate(grade)}
-    if kern is None:
-        vectors = [ExtClass(cfg, {mask: {mono: 1}}) for mask, mono in grade]
-        out = -np.identity(len(grade), dtype=np.int64)
-    else:
-        vectors = [_grade_class(cfg, grade, vec) for vec in kern]
-        out = -kern.T
-    for j, v in enumerate(vectors):
-        for mask, poly in substitute_linear(g, v).parts.items():
-            for mono, c in poly.items():
-                out[index[(mask, mono)], j] += c
-    return out % cfg.p
+    rows = {}
+    for j, vec in enumerate(kern):
+        moved = {
+            index[(mask, mono)]: c
+            for mask, poly in substitute_linear(g, _grade_class(cfg, grade, vec)).parts.items()
+            for mono, c in poly.items()
+        }
+        for i, c in add_into(moved, vec, -1, p).items():
+            rows.setdefault(i, {})[j] = c
+    return Matrix(list(rows.values()), len(kern))
 
 
 def invariant_dimension(cfg, d, group):
@@ -509,17 +531,16 @@ def invariant_dimension(cfg, d, group):
     acting on the degree-d piece of the full algebra.  Substitution keeps
     the number of dt factors, so each exterior grade is solved on its own.
     Within a grade the kernels are intersected one generator at a time:
-    the rows of K span the invariants of the generators so far (the whole
-    grade to start with); for the next generator g, the kernel of
-    v -> g.v - v on the row space of K gives the combinations of rows of K
-    to keep.  A grade stops as soon as K is empty, without building the
-    matrices of the remaining generators.  K stays in reduced echelon form,
-    and the grades sit on disjoint, ordered coordinates, so together they
-    give the reduced echelon basis of the whole kernel.
+    the rows of K, {index: value} dicts, span the invariants of the
+    generators so far (the unit rows of the grade to start with); for the
+    next generator g, the kernel of v -> g.v - v on the row space of K gives
+    the combinations of rows of K to keep.  A grade stops as soon as K is
+    empty, without building the matrices of the remaining generators.  K
+    stays in reduced echelon form, and the grades sit on disjoint, ordered
+    coordinates, so together they give the reduced echelon basis of the
+    whole kernel.
     """
     check_invariant_matrix_bytes(cfg, d)
-    import numpy as np  # past the guard: a refused call never loads it
-
     p = cfg.p
     basis = degree_basis(cfg, d)
     classes = []
@@ -527,7 +548,7 @@ def invariant_dimension(cfg, d, group):
     # each grade is one contiguous run of the basis
     for _, run in itertools.groupby(basis, key=lambda b: sum(b[1])):
         grade = list(run)
-        kern = None  # the whole grade
+        kern = [{i: 1} for i in range(len(grade))]
         for g in group.generators:
             combos = kernel_basis(_moved(cfg, g, grade, kern), p)
             if not combos:
@@ -535,13 +556,18 @@ def invariant_dimension(cfg, d, group):
             # kernel_basis returns reduced echelon rows, and a product of
             # two reduced echelon matrices of full row rank is one too, so
             # kern stays the canonical basis of its row space
-            combos = np.array(combos)
-            kern = combos if kern is None else combos @ kern % p
+            kern = [_combine(combo, kern, p) for combo in combos]
         else:
-            if kern is None:
-                kern = np.identity(len(grade), dtype=np.int64)
             classes += [_grade_class(cfg, grade, vec) for vec in kern]
     return len(classes), classes
+
+
+def _combine(combo, kern, p):
+    """sum_j combo[j] * kern[j] mod p, as a {index: value} dict."""
+    out = {}
+    for j, c in combo.items():
+        add_into(out, kern[j], c, p)
+    return out
 
 
 def _qword_degrees(cfg):

@@ -1,79 +1,103 @@
-"""Dense linear algebra over F_p (desk scale, numpy int64 matrices).
+"""Sparse linear algebra over F_p (desk scale, pure Python).
 
-rref eliminates in place and only where it must: for each pivot it updates
-the rows with a nonzero entry in the pivot column, and only from the pivot
-column rightwards, since the pivot row is zero to its left.  Entries stay in
-0..p-1 between pivots, so no product exceeds p^2.
-
-Each solver imports numpy when it is first called, not when this module is
-loaded, so a CLI call that never solves a system never pays for numpy.
+A Matrix holds its rows as {column: value} dicts, zero entries unstored, and
+its column count.  The systems of invariant_dimension are almost all zeros
+(each column g.v - v has a few Lucas-binomial terms), so rref eliminates row
+by row and touches only stored entries (LaMacchia & Odlyzko, "Solving large
+sparse linear systems over finite fields", CRYPTO '90).  It keeps the pivot
+rows fully reduced as it goes: a new row is cleared at every pivot column it
+holds with one pass each, since no pivot row has an entry at another pivot
+column; its lowest remaining column becomes a pivot, and that column is
+cleared from the earlier pivot rows.  Values stay in 0..p-1.
 """
 
 from __future__ import annotations
 
+from .backend import add_into
+
+
+class Matrix:
+    """Rows as {column: value} dicts over columns 0..ncols-1."""
+
+    __slots__ = ("rows", "ncols")
+
+    def __init__(self, rows, ncols):
+        self.rows = rows
+        self.ncols = ncols
+
+    @property
+    def shape(self):
+        return (len(self.rows), self.ncols)
+
 
 def rref(matrix, p):
-    """Reduced row echelon form mod p; returns (array, pivot column list)."""
-    import numpy as np
+    """Reduced row echelon form mod p; returns (Matrix, pivot column list).
 
-    a = np.array(matrix, dtype=np.int64) % p
-    if a.ndim != 2:
-        raise ValueError("matrix must be 2-dimensional")
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
+    The result has the shape of matrix: its rows are the pivot rows in
+    pivot order, then empty rows.  Entries are read mod p; a column outside
+    0..ncols-1 raises ValueError.  matrix is not changed.
+    """
+    ncols = matrix.ncols
+    pivot_rows = {}  # pivot column -> its row, 1 at the pivot
+    for row in matrix.rows:
+        row = {c: r for c, v in row.items() if (r := v % p)}
+        if not row:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-        others = np.flatnonzero(a[:, c])
-        others = others[others != r]
-        a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
+        if min(row) < 0 or max(row) >= ncols:
+            raise ValueError(f"a row has a column outside 0..{ncols - 1}")
+        for c in [c for c in row if c in pivot_rows]:
+            add_into(row, pivot_rows[c], -row[c], p)
+        if not row:
+            continue
+        lead = min(row)
+        inv = pow(row[lead], -1, p)
+        if inv != 1:
+            row = {c: v * inv % p for c, v in row.items()}
+        for other in pivot_rows.values():
+            v = other.get(lead)
+            if v:
+                add_into(other, row, -v, p)
+        pivot_rows[lead] = row
+    pivots = sorted(pivot_rows)
+    rows = [pivot_rows[c] for c in pivots]
+    rows += [{} for _ in range(len(matrix.rows) - len(rows))]
+    return Matrix(rows, ncols), pivots
 
 
 def solve(matrix, rhs, p):
-    """One solution of matrix @ x == rhs mod p (free variables 0), or None."""
-    import numpy as np
+    """One solution x of matrix @ x == rhs mod p, or None.
 
-    a = np.array(matrix, dtype=np.int64) % p
-    b = np.array(rhs, dtype=np.int64) % p
-    aug = np.hstack([a, b.reshape(-1, 1)])
-    red, pivots = rref(aug, p)
-    ncols = a.shape[1]
-    if ncols in pivots:
+    rhs is a {row index: value} dict; x is a {column: value} dict with
+    every free variable 0.
+    """
+    ncols = matrix.ncols
+    augmented = Matrix(
+        [{**row, ncols: rhs[i]} if rhs.get(i) else row for i, row in enumerate(matrix.rows)],
+        ncols + 1,
+    )
+    red, pivots = rref(augmented, p)
+    if pivots and pivots[-1] == ncols:
         return None
-    x = np.zeros(ncols, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = red[r, ncols]
-    return x
+    return {c: v for c, row in zip(pivots, red.rows) if (v := row.get(ncols))}
 
 
 def kernel_basis(matrix, p):
     """Canonical (reduced-echelon) basis of the null space mod p.
 
-    Returns a list of int64 arrays whose leading entries are 1, ordered by
-    leading position.
+    Returns {column: value} dicts whose leading entries are 1, ordered by
+    leading position.  One rref, with the columns in reverse order: each
+    free column f then gives the vector with 1 at f and, at the pivot of
+    each reduced row, minus that row's entry in column f.  Those pivots lie
+    right of f in the original order and no other vector touches f, so the
+    vectors, sorted by f, are already in reduced echelon form.
     """
-    import numpy as np
-
-    red, pivots = rref(matrix, p)
-    ncols = red.shape[1]
+    last = matrix.ncols - 1
+    flipped = Matrix([{last - c: v for c, v in row.items()} for row in matrix.rows], matrix.ncols)
+    red, pivots = rref(flipped, p)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    if not free:
-        return []
-    # one vector per free column f: 1 at f, minus column f of red at the pivots
-    vectors = np.zeros((len(free), ncols), dtype=np.int64)
-    vectors[np.arange(len(free)), free] = 1
-    vectors[:, pivots] = -red[: len(pivots), free].T % p
-    echelon, _ = rref(vectors, p)
-    return [row for row in echelon if row.any()]
+    vectors = {last - f: {last - f: 1} for f in range(matrix.ncols) if f not in pivot_set}
+    for pivot, row in zip(pivots, red.rows):
+        for c, v in row.items():
+            if c != pivot:
+                vectors[last - c][last - pivot] = p - v
+    return [vectors[f] for f in sorted(vectors)]

@@ -6,8 +6,8 @@
   invariants.dickson_polynomial; these oracles expand the defining product
   directly, so agreement checks the recursion.  Like the library, they
   return a sparse polynomial of milnorq.backend keyed (e_X, e_1, ..., e_n).
-- Row reduction mod p: rref_dense rewrites the whole matrix at every pivot,
-  where linalg.rref updates only the rows and columns that change.
+- Row reduction mod p: rref_dense rewrites the whole dense numpy matrix
+  at every pivot, where linalg.rref eliminates sparse rows one at a time.
 - Invariants: invariant_dimension_stacked solves one stacked system of all
   (g - id) blocks over the whole degree, where invariant_dimension works one
   exterior grade and one generator at a time.
@@ -19,7 +19,7 @@
   the kernel, where algebra.substitute_linear applies the shear factors of g
   one binomial expansion at a time.  det_by_permutations is the Leibniz
   formula, where LinearSubst.det is the product of the diagonal factor.
-- Membership in D_n and SD_n: membership_dickson_dense solves one dense
+- Membership in D_n and SD_n: membership_dickson_dense solves one full
   system of every degree-d monomial against every candidate product with
   linalg.solve, where invariants.membership_dickson works by subduction
   over the lead monomials of the generators.
@@ -44,7 +44,7 @@ from milnorq.invariants import (
     monomials,
     ring_generators,
 )
-from milnorq.linalg import solve
+from milnorq.linalg import Matrix, solve
 
 
 def poly_mul_dict(a, b, p):
@@ -225,8 +225,8 @@ def invariant_dimension_stacked(cfg, d, group):
 
 
 def membership_dickson_dense(x, ring):
-    """membership_dickson as one dense system: every degree-d monomial is a
-    row, every candidate product of the generators a column."""
+    """membership_dickson as one linear system: every degree-d monomial is
+    a row, every candidate product of the generators a column."""
     cfg = x.cfg
     if not x:
         return {}
@@ -241,17 +241,15 @@ def membership_dickson_dense(x, ring):
     ]
     monos = list(monomials(cfg.n, d // 2))
     index = {mono: r for r, mono in enumerate(monos)}
-    a = np.zeros((len(monos), len(products)), dtype=np.int64)
+    rows = [{} for _ in monos]
     for col, prod in enumerate(products):
         for mono, c in prod.parts.get(0, {}).items():
-            a[index[mono], col] = c
-    b = np.zeros(len(monos), dtype=np.int64)
-    for mono, c in x.parts.get(0, {}).items():
-        b[index[mono]] = c
-    sol = solve(a, b, cfg.p)
+            rows[index[mono]][col] = c
+    rhs = {index[mono]: c for mono, c in x.parts.get(0, {}).items()}
+    sol = solve(Matrix(rows, len(products)), rhs, cfg.p)
     if sol is None:
         return None
-    return {candidates[i]: int(v) for i, v in enumerate(sol) if v}
+    return {candidates[i]: v for i, v in sol.items()}
 
 
 def strip_first_var(poly):

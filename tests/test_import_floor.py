@@ -1,10 +1,10 @@
-"""numpy is loaded only by the solvers: linalg and invariant_dimension's
-matrices.
+"""No call of the package loads numpy.
 
 The import, the kernel products however large, membership by subduction,
-and the other CLI calls that never solve a system leave it unloaded.
-Each check runs in a fresh interpreter: this test process already holds
-numpy (tests/oracles.py imports it), so sys.modules here says nothing.
+the sparse solvers of linalg and the invariant dimensions of hilbert and
+prop-iso, and the other CLI calls all leave it unloaded.  Each check runs
+in a fresh interpreter: this test process already holds numpy
+(tests/oracles.py imports it), so sys.modules here says nothing.
 """
 
 import os
@@ -55,6 +55,11 @@ QUIET_CLI = [
     (0, ["membership", "-p", "3", "-n", "2", "--ring", "sd", "--expr", E_32]),
     (0, ["membership", "-p", "3", "-n", "4", "--ring", "d", "--expr", "t1^162"]),
     (0, ["membership", "-p", "3", "-n", "4", "--ring", "sd", "--expr", "t1^162"]),
+    # invariant dimensions through the sparse solvers
+    (0, ["prop-iso", "-p", "3", "-n", "2"]),
+    (0, ["prop-iso", "-p", "5", "-n", "3"]),
+    (0, ["hilbert", "-p", "3", "-n", "4", "--group", "sl", "--max-degree", "10"]),
+    (0, ["hilbert", "-p", "3", "-n", "2", "--group", "gl", "--max-degree", "16"]),
 ]
 
 LARGE_PRODUCT = """
@@ -66,13 +71,15 @@ assert poly_mul(a, b, 3) == {(i, j): 2 for i in range(1 << 13) for j in range(16
 assert "numpy" not in sys.modules, "a 2^17-pair poly_mul"
 """
 
-RREF = """
+SOLVERS = """
 import sys
-from milnorq import linalg
-assert "numpy" not in sys.modules, "import milnorq.linalg"
-red, pivots = linalg.rref([[1, 2], [2, 4]], 5)
-assert "numpy" in sys.modules, "linalg.rref"
-assert red.tolist() == [[1, 2], [0, 0]] and pivots == [0]
+from milnorq.linalg import Matrix, kernel_basis, rref, solve
+m = Matrix([{0: 1, 1: 2}, {0: 2, 1: 4}], 2)
+red, pivots = rref(m, 5)
+assert red.rows == [{0: 1, 1: 2}, {}] and pivots == [0]
+assert kernel_basis(m, 5) == [{0: 1, 1: 2}]
+assert solve(m, {0: 1, 1: 2}, 5) == {0: 1}
+assert "numpy" not in sys.modules, "linalg solvers"
 """
 
 
@@ -95,5 +102,5 @@ def test_large_product_leaves_numpy_unloaded():
     run_fresh(LARGE_PRODUCT)
 
 
-def test_rref_loads_numpy():
-    run_fresh(RREF)
+def test_solvers_leave_numpy_unloaded():
+    run_fresh(SOLVERS)

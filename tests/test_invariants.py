@@ -524,6 +524,18 @@ class TestInvariantDimension:
                 tracemalloc.stop()
             assert peak < estimate, d
 
+    def test_sparse_rows_keep_degree_twenty_small(self):
+        # about 1.8 MB with sparse rows; the dense int64 solver peaked at 42.5 MB
+        cfg = Config(3, 4)
+        group = group_generators(cfg, "SL")
+        tracemalloc.start()
+        try:
+            invariant_dimension(cfg, 20, group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
     def test_degree_zero(self):
         for cfg in (Config(3, 2), Config(5, 3)):
             dim, basis = invariant_dimension(cfg, 0, group_generators(cfg, "GL"))

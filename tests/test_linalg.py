@@ -1,13 +1,19 @@
 """Row reduction, null spaces and solving mod p, checked by two routes.
 
 The oracles are sympy's DomainMatrix over GF(p) and rref_dense in
-oracles.py, which rewrites the whole matrix at every pivot.
+oracles.py, which rewrites the whole dense matrix at every pivot.  The
+cases are built as dense numpy arrays and handed to linalg through
+`sparse`; results come back through `dense`.
 """
+
+import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from milnorq.linalg import kernel_basis, rref, solve
+from milnorq.linalg import Matrix, kernel_basis, rref, solve
 from oracles import kernel_basis_dense, rref_dense
 
 sympy = pytest.importorskip("sympy")
@@ -15,6 +21,21 @@ from sympy.polys.domains import GF  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 PRIMES = [3, 7, 97]
+
+
+def sparse(a):
+    """The Matrix of a dense 2-dimensional array: its nonzero entries."""
+    a = np.asarray(a)
+    return Matrix([{c: int(v) for c, v in enumerate(row) if v} for row in a], a.shape[1])
+
+
+def dense(rows, ncols):
+    """The dense int64 array of {column: value} rows."""
+    out = np.zeros((len(rows), ncols), dtype=np.int64)
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            out[r, c] = v
+    return out
 
 
 def random_matrix(rng, shape, rank, p):
@@ -56,37 +77,39 @@ def sympy_kernel(a, p):
     return to_ints(ns.rref()[0], p)
 
 
-def as_rows(vectors, ncols):
-    return np.array(vectors, dtype=np.int64).reshape(len(vectors), ncols)
+def apply(m, x, p):
+    """m @ x mod p for a Matrix m and a {column: value} vector x."""
+    return [sum(v * x.get(c, 0) for c, v in row.items()) % p for row in m.rows]
 
 
 @pytest.mark.parametrize("p", PRIMES)
 class TestRref:
     def test_matches_sympy_and_the_dense_update(self, p):
         for a in matrices(p):
-            before = a.copy()
-            red, pivots = rref(a, p)
+            m = sparse(a)
+            before = copy.deepcopy(m.rows)
+            red, pivots = rref(m, p)
+            assert red.shape == a.shape
             want, want_pivots = sympy_matrix(a, p).rref()
             assert pivots == list(want_pivots)
-            assert np.array_equal(red, to_ints(want, p))
-            dense, dense_pivots = rref_dense(a, p)
-            assert pivots == dense_pivots and np.array_equal(red, dense)
-            assert np.array_equal(a, before)
+            assert np.array_equal(dense(red.rows, red.ncols), to_ints(want, p))
+            dense_red, dense_pivots = rref_dense(a, p)
+            assert pivots == dense_pivots
+            assert np.array_equal(dense(red.rows, red.ncols), dense_red)
+            assert m.rows == before
 
     def test_rank_and_reduced_form(self, p):
         rng = np.random.default_rng(p + 1)
-        a = random_matrix(rng, (20, 15), 6, p)
-        red, pivots = rref(a, p)
+        red, pivots = rref(sparse(random_matrix(rng, (20, 15), 6, p)), p)
         assert len(pivots) == 6
-        assert not red[6:].any()
+        assert red.rows[6:] == [{}] * 14
         for r, c in enumerate(pivots):
-            column = np.zeros(20, dtype=np.int64)
-            column[r] = 1
-            assert np.array_equal(red[:, c], column)
+            assert red.rows[r][c] == 1
+            assert all(c not in row for row in red.rows[:r] + red.rows[r + 1:])
 
     def test_empty_matrices(self, p):
         for shape in [(0, 4), (4, 0), (0, 0)]:
-            red, pivots = rref(np.zeros(shape, dtype=np.int64), p)
+            red, pivots = rref(sparse(np.zeros(shape, dtype=np.int64)), p)
             assert red.shape == shape and pivots == []
 
 
@@ -94,28 +117,30 @@ class TestRref:
 class TestKernelBasis:
     def test_matches_sympy_and_the_dense_route(self, p):
         for a in matrices(p):
-            before = a.copy()
-            kern = kernel_basis(a, p)
+            m = sparse(a)
+            before = copy.deepcopy(m.rows)
+            kern = kernel_basis(m, p)
             ncols = a.shape[1]
-            assert np.array_equal(as_rows(kern, ncols), sympy_kernel(a, p))
-            dense = kernel_basis_dense(a, p)
-            assert np.array_equal(as_rows(kern, ncols), as_rows(dense, ncols))
+            assert np.array_equal(dense(kern, ncols), sympy_kernel(a, p))
+            want = kernel_basis_dense(a, p)
+            assert np.array_equal(dense(kern, ncols), np.array(want).reshape(len(want), ncols))
             for v in kern:
-                assert not (a @ v % p).any()
-            assert np.array_equal(a, before)
+                assert not any(apply(m, v, p))
+            assert m.rows == before
 
     def test_zero_rows_give_the_whole_space(self, p):
-        kern = kernel_basis(np.zeros((0, 5), dtype=np.int64), p)
-        assert np.array_equal(as_rows(kern, 5), np.identity(5, dtype=np.int64))
+        kern = kernel_basis(Matrix([], 5), p)
+        assert kern == [{c: 1} for c in range(5)]
 
     def test_full_column_rank_gives_nothing(self, p):
-        assert kernel_basis(np.identity(6, dtype=np.int64) * 2, p) == []
+        assert kernel_basis(sparse(np.identity(6, dtype=np.int64) * 2), p) == []
 
     def test_rejects_non_matrices(self, p):
+        # a row that reaches outside the columns of its Matrix
         with pytest.raises(ValueError):
-            kernel_basis(np.zeros(4, dtype=np.int64), p)
+            kernel_basis(Matrix([{0: 1, 4: 1}], 4), p)
         with pytest.raises(ValueError):
-            rref(np.zeros(4, dtype=np.int64), p)
+            rref(Matrix([{-1: 1}], 4), p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -125,29 +150,53 @@ class TestSolve:
         for a in matrices(p):
             x0 = rng.integers(0, p, size=a.shape[1])
             b = a @ x0 % p
-            before = a.copy()
-            x = solve(a, b, p)
+            m = sparse(a)
+            before = copy.deepcopy(m.rows)
+            x = solve(m, {r: int(v) for r, v in enumerate(b) if v}, p)
             assert x is not None
-            assert np.array_equal(a @ x % p, b % p)
-            assert np.array_equal(a, before)
+            assert apply(m, x, p) == b.tolist()
+            assert m.rows == before
 
     def test_free_variables_are_zero(self, p):
         # x0 + x1 = 1: x1 is free, so the solution is (1, 0)
-        x = solve(np.array([[1, 1]]), np.array([1]), p)
-        assert x.tolist() == [1, 0]
+        assert solve(Matrix([{0: 1, 1: 1}], 2), {0: 1}, p) == {0: 1}
 
     def test_inconsistent_systems_give_none(self, p):
         rng = np.random.default_rng(p + 3)
         a = random_matrix(rng, (8, 5), 3, p)
-        before = a.copy()
+        m = sparse(a)
+        before = copy.deepcopy(m.rows)
         # y @ a == 0 and y[j] == 1, so y @ (a @ x) != y @ e_j for every x
-        y = kernel_basis(a.T, p)[0]
-        b = np.zeros(8, dtype=np.int64)
-        b[np.flatnonzero(y)[0]] = 1
-        assert solve(a, b, p) is None
+        y = kernel_basis(sparse(a.T), p)[0]
+        assert solve(m, {min(y): 1}, p) is None
         # one equation twice with two right-hand sides
         x0 = rng.integers(0, p, size=5)
         rhs = np.append(a @ x0, a[0] @ x0 + 1) % p
-        assert solve(np.vstack([a, a[0]]), rhs, p) is None
-        assert solve(np.zeros((1, 3), dtype=np.int64), np.array([1]), p) is None
-        assert np.array_equal(a, before)
+        twice = sparse(np.vstack([a, a[0]]))
+        assert solve(twice, {r: int(v) for r, v in enumerate(rhs) if v}, p) is None
+        assert solve(Matrix([{}], 3), {0: 1}, p) is None
+        assert m.rows == before
+
+
+@st.composite
+def sparse_systems(draw):
+    """A prime and a random sparse Matrix, empty and zero-row shapes included."""
+    p = draw(st.sampled_from(PRIMES))
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    row = st.dictionaries(st.integers(0, ncols - 1), st.integers(-2 * p, 2 * p), max_size=4)
+    rows = [draw(row) if ncols else {} for _ in range(nrows)]
+    return p, Matrix(rows, ncols)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sparse_systems())
+def test_random_sparse_systems_match_the_dense_oracles(system):
+    p, m = system
+    a = dense(m.rows, m.ncols)
+    red, pivots = rref(m, p)
+    want, want_pivots = rref_dense(a, p)
+    assert red.shape == m.shape and pivots == want_pivots
+    assert np.array_equal(dense(red.rows, red.ncols), want)
+    kern = kernel_basis(m, p)
+    want = kernel_basis_dense(a, p)
+    assert np.array_equal(dense(kern, m.ncols), np.array(want).reshape(len(want), m.ncols))
