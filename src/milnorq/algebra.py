@@ -6,20 +6,24 @@ bit k-1 set when dt_k is present), a sparse polynomial mapping exponent
 tuples to coefficients in 1..p-1.  All values are immutable by convention:
 every operation returns a fresh ExtClass and never mutates its arguments.
 
-A LinearSubst g is kept as its elementary factors, shears (i, j, c) and a
-diagonal d, from one row reduction.  substitute_linear applies the shears in
-order: t_i -> t_i + c*t_j expands t_i^a t_j^b as sum_k C(a, k) c^k
-t_i^(a-k) t_j^(b+k), with C(a, k) mod p from Lucas's theorem, and
-dt_i -> dt_i + c*dt_j gives dt_A, i in A, the extra term
-c * _SIGN[rest][1<<i] * _SIGN[rest][1<<j] dt_(rest + j), rest = A - {i},
-since dt_A = _SIGN[rest][1<<i] dt_rest dt_i (the term is 0 when j is in A).
-The diagonal then scales each term.
+A LinearSubst g is kept as its elementary factors from one row reduction:
+shears (i, j, c) and a monomial matrix Q, which sends t_k to d_k t_perm[k].
+substitute_linear applies the shears in order: t_i -> t_i + c*t_j expands
+t_i^a t_j^b as sum_k C(a, k) c^k t_i^(a-k) t_j^(b+k), with C(a, k) mod p
+from Lucas's theorem, and dt_i -> dt_i + c*dt_j gives dt_A, i in A, the
+extra term c * _SIGN[rest][1<<i] * _SIGN[rest][1<<j] dt_(rest + j),
+rest = A - {i}, since dt_A = _SIGN[rest][1<<i] dt_rest dt_i (the term is 0
+when j is in A).  Q then moves each term without expanding anything: the
+exponent of t_k becomes that of t_perm[k], the coefficient is scaled by
+prod_k d_k^(a_k), and dt_A goes to dt_perm(A) times its Koszul sign and
+prod_(k in A) d_k.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import itemgetter
 
 from .backend import add_into, poly_mul
 from .errors import ConfigMismatchError
@@ -352,13 +356,15 @@ class LinearSubst:
     sum_j rows[k][j] * t_j, and dt_k maps the same way.  Composition follows
     substitute_linear(g @ h, x) == substitute_linear(g, substitute_linear(h, x)).
 
-    rows == S_1 ... S_m diag(d) for the shears (i, j, c) in `shears`,
+    rows == S_1 ... S_m Q for the shears (i, j, c) in `shears`,
     S = I + c*E_ij (0-based, i != j: t_i -> t_i + c*t_j, dt_i likewise),
-    and d = `diag`; they come from a row reduction by row additions only, so
-    det is prod(d) and inverse() replays the shears in reverse.
+    and the monomial matrix Q with Q[k][perm[k]] = diag[k] and zeros
+    elsewhere; they come from a row reduction by row additions only, so
+    det is sign(perm) * prod(diag) and inverse() starts from Q^-1 and
+    replays the shears in reverse.  A monomial matrix has no shears.
     """
 
-    __slots__ = ("cfg", "rows", "det", "shears", "diag")
+    __slots__ = ("cfg", "rows", "det", "shears", "perm", "diag")
 
     def __init__(self, cfg, rows):
         p, n = cfg.p, cfg.n
@@ -367,8 +373,8 @@ class LinearSubst:
             raise ValueError(f"matrix must be {n}x{n}")
         self.cfg = cfg
         self.rows = rows
-        self.shears, self.diag = _shear_factors(rows, p)
-        self.det = math.prod(self.diag) % p
+        self.shears, self.perm, self.diag = _shear_factors(rows, p)
+        self.det = _perm_sign(self.perm) * math.prod(self.diag) % p
 
     @classmethod
     def identity(cls, cfg):
@@ -411,9 +417,11 @@ class LinearSubst:
         return LinearSubst(self.cfg, [[self.rows[j][i] for j in range(n)] for i in range(n)])
 
     def inverse(self):
-        """diag(d)^-1 times the inverse shears I - c*E_ij, last shear first."""
+        """Q^-1 times the inverse shears I - c*E_ij, last shear first."""
         p, n = self.cfg.p, self.cfg.n
-        rows = [[pow(d, -1, p) * (a == b) for b in range(n)] for a, d in enumerate(self.diag)]
+        rows = [[0] * n for _ in range(n)]
+        for k, (j, d) in enumerate(zip(self.perm, self.diag)):
+            rows[j][k] = pow(d, -1, p)
         for i, j, c in reversed(self.shears):
             for row in rows:  # times I - c*E_ij: column j -= c * column i
                 row[j] = (row[j] - c * row[i]) % p
@@ -431,32 +439,34 @@ class LinearSubst:
 
 
 def _shear_factors(rows, p):
-    """Shears (i, j, c) and a diagonal d with rows == S_1 ... S_m diag(d).
+    """Shears (i, j, c), perm and diag with rows == S_1 ... S_m Q, where
+    Q[k][perm[k]] = diag[k].
 
     Gauss-Jordan elimination by row additions only: adding c times row j to
     row i is left multiplication by I + c*E_ij, recorded as its inverse, the
-    shear (i, j, -c).  A zero pivot takes a lower row added to its own; a
-    column with no pivot means the matrix is singular.
+    shear (i, j, -c).  Each column takes as pivot a row not used yet with a
+    nonzero entry there, the diagonal row first, and clears the column in
+    every other row, so each row ends with one nonzero entry, in the column
+    it was the pivot of; a column with no such row means the matrix is
+    singular.
     """
     n = len(rows)
     a = [list(row) for row in rows]
     shears = []
-
-    def add_row(i, j, c):
-        a[i] = [(x + c * y) % p for x, y in zip(a[i], a[j])]
-        shears.append((i, j, -c % p))
-
+    pivot_of = [None] * n  # row -> the column it is the pivot of
     for col in range(n):
-        if not a[col][col]:
-            below = next((r for r in range(col + 1, n) if a[r][col]), None)
-            if below is None:
-                raise ValueError("matrix is singular mod p")
-            add_row(col, below, 1)
-        inv = pow(a[col][col], -1, p)
-        for r in range(n):
-            if r != col and a[r][col]:
-                add_row(r, col, -a[r][col] * inv)
-    return tuple(shears), tuple(a[k][k] for k in range(n))
+        free = [r for r in range(n) if pivot_of[r] is None and a[r][col]]
+        if not free:
+            raise ValueError("matrix is singular mod p")
+        r = col if col in free else free[0]
+        pivot_of[r] = col
+        inv = pow(a[r][col], -1, p)
+        for i in range(n):
+            if i != r and a[i][col]:
+                c = -a[i][col] * inv
+                a[i] = [(x + c * y) % p for x, y in zip(a[i], a[r])]
+                shears.append((i, r, -c % p))
+    return tuple(shears), tuple(pivot_of), tuple(a[k][pivot_of[k]] for k in range(n))
 
 
 @lru_cache(maxsize=4096)
@@ -514,23 +524,43 @@ def _shear(parts, i, j, c, p):
     return {mask: poly for mask, poly in reduced if poly}
 
 
+def _monomial(parts, perm, diag, p):
+    """parts under t_k -> d_k t_perm[k] and dt_k -> d_k dt_perm[k], d = diag."""
+    identity = tuple(range(len(perm)))
+    # the image's exponent of t_j is the source's exponent of t_(perm^-1[j]);
+    # perm is not the identity only when n >= 2, where itemgetter gives tuples
+    reindex = None if perm == identity else itemgetter(*sorted(identity, key=perm.__getitem__))
+    # d_k^a by a mod p - 1, for the exponent a of t_k read at its new place perm[k]
+    powers = [
+        (perm[k], [pow(d, a, p) for a in range(p - 1)]) for k, d in enumerate(diag) if d != 1
+    ]
+    out = {}
+    for mask, poly in parts.items():
+        bits = _bits(mask)
+        image = [perm[k] for k in bits]
+        s = _perm_sign(image) * math.prod(diag[k] for k in bits) % p
+        if reindex:
+            poly = {reindex(mono): c for mono, c in poly.items()}
+        if powers:
+            poly = {
+                mono: c * s * math.prod(pw[mono[j] % (p - 1)] for j, pw in powers) % p
+                for mono, c in poly.items()
+            }
+        elif s != 1 or not reindex:  # else the reindexed dict is already fresh
+            poly = {mono: c * s % p for mono, c in poly.items()}
+        out[sum(1 << j for j in image)] = poly
+    return out
+
+
 def substitute_linear(g, x):
     """Apply the algebra homomorphism induced by g to x.
 
-    The shears of g act one at a time, in order, by _shear; the diagonal d
-    then scales dt_A t^a by prod_k d_k^(a_k) * prod_(k in A) d_k.
+    The shears of g act one at a time, in order, by _shear; the monomial
+    factor then moves and scales each term by _monomial.
     """
     _check_cfg(g.cfg, x.cfg)
     p = x.cfg.p
     parts = x.parts
     for i, j, c in g.shears:
         parts = _shear(parts, i, j, c, p)
-    scaled = [(k, d) for k, d in enumerate(g.diag) if d != 1]
-    out = {}
-    for mask, poly in parts.items():
-        s = math.prod(d for k, d in scaled if mask >> k & 1)
-        out[mask] = {
-            mono: coeff * s * math.prod(pow(d, mono[k], p) for k, d in scaled) % p
-            for mono, coeff in poly.items()
-        }
-    return ExtClass(x.cfg, out)
+    return ExtClass(x.cfg, _monomial(parts, g.perm, g.diag, p))

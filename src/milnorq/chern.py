@@ -202,6 +202,8 @@ def _coordinate_change(cfg, v):
 
     For the first k with v_k != 0, t_k -> (t_1 - sum_(j != k) v_j t_(c_j)) / v_k
     and t_j -> t_(c_j) otherwise, where c_j runs over 2..n in the order of j.
+    LinearSubst factors it into one shear for each nonzero v_j with j > k
+    and a monomial matrix.
     """
     p, n = cfg.p, cfg.n
     k = next(i for i, c in enumerate(v) if c)

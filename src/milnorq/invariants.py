@@ -214,7 +214,18 @@ class GroupSpec:
 
 
 def group_generators(cfg, kind):
-    """Generators: all transvections E_ij(1) for SL; plus one diagonal for GL.
+    """Generators of SL_n(F_p) or GL_n(F_p), the cheapest to apply first.
+
+    For n >= 2, SL is generated by the signed n-cycle C (t_k -> t_(k+1),
+    t_n -> (-1)^(n-1) t_1, det 1) and the transvection E_12(1), and GL by
+    these and diag(r, 1, ..., 1) for the primitive root r; n = 1 has no SL
+    generator.  The conjugates of E_12(1) by powers of C are the adjacent
+    transvections E_(k,k+1)(+-1) and E_(n,1)(+-1), and the commutator of
+    E_ij(a) and E_jk(b) is E_ik(ab), so C and E_12(1) give every E_ij(+-1).
+    These generate SL_n(Z), which maps onto SL_n(F_p) (Steinberg, Lectures
+    on Chevalley Groups), so invariants and orbits are those of the whole
+    group.  C and the diagonal are monomial matrices and act by reindexing
+    terms; E_12(1) is the one shear.
 
     kind is read without regard to case, and "gl" and "GL" share one cache
     entry.
@@ -226,17 +237,16 @@ def group_generators(cfg, kind):
 def _group_spec(cfg, kind):
     if kind not in ("SL", "GL"):
         raise ValueError(f"unknown group kind {kind!r}")
-    n = cfg.n
-    gens = [
-        LinearSubst.transvection(cfg, i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j
-    ]
+    p, n = cfg.p, cfg.n
+    gens = []
+    if n >= 2:
+        cycle = [[int(j == k + 1) for j in range(n)] for k in range(n)]
+        cycle[-1][0] = (-1) ** (n - 1)
+        gens.append(LinearSubst(cfg, cycle))
     if kind == "GL":
-        gens.append(
-            LinearSubst.diagonal(cfg, [primitive_root(cfg.p)] + [1] * (n - 1))
-        )
+        gens.append(LinearSubst.diagonal(cfg, [primitive_root(p)] + [1] * (n - 1)))
+    if n >= 2:
+        gens.append(LinearSubst.transvection(cfg, 1, 2))
     return GroupSpec(kind, cfg, tuple(gens))
 
 
@@ -534,8 +544,12 @@ def invariant_dimension(cfg, d, group):
     the rows of K, {index: value} dicts, span the invariants of the
     generators so far (the unit rows of the grade to start with); for the
     next generator g, the kernel of v -> g.v - v on the row space of K gives
-    the combinations of rows of K to keep.  A grade stops as soon as K is
-    empty, without building the matrices of the remaining generators.  K
+    the combinations of rows of K to keep.  group_generators lists the
+    monomial generators first, the n-cycle C and, for GL, the diagonal:
+    each g.v - v then only moves and scales coordinates, and K shrinks
+    before the one shear E_12(1) is expanded on it.  A grade stops as soon
+    as K is empty, without building the matrices of the remaining
+    generators.  K
     stays in reduced echelon form, and the grades sit on disjoint, ordered
     coordinates, so together they give the reduced echelon basis of the
     whole kernel.

@@ -17,8 +17,12 @@
 - Linear substitution: substitute_linear_expanded multiplies out the images
   of the generators of each term, with powers of linear forms taken through
   the kernel, where algebra.substitute_linear applies the shear factors of g
-  one binomial expansion at a time.  det_by_permutations is the Leibniz
-  formula, where LinearSubst.det is the product of the diagonal factor.
+  one binomial expansion at a time and then moves each term by its monomial
+  factor.  det_by_permutations is the Leibniz formula, where LinearSubst.det
+  is the sign of the monomial factor's permutation times its entries.
+- Generating sets: transvection_group gives SL_n(F_p) by all n(n-1)
+  transvections E_ij(1), and GL_n(F_p) by these and one diagonal, where
+  invariants.group_generators uses a signed n-cycle and E_12(1).
 - Membership in D_n and SD_n: membership_dickson_dense solves one full
   system of every degree-d monomial against every candidate product with
   linalg.solve, where invariants.membership_dickson works by subduction
@@ -34,14 +38,16 @@ import math
 
 import numpy as np
 
-from milnorq.algebra import _SIGN, ExtClass, _bits, _perm_sign, substitute_linear
+from milnorq.algebra import _SIGN, ExtClass, LinearSubst, _bits, _perm_sign, substitute_linear
 from milnorq.backend import add_into, poly_mul, poly_pow
 from milnorq.invariants import (
+    GroupSpec,
     _compositions,
     _generator_degrees,
     _guard_points,
     degree_basis,
     monomials,
+    primitive_root,
     ring_generators,
 )
 from milnorq.linalg import Matrix, solve
@@ -222,6 +228,20 @@ def invariant_dimension_stacked(cfg, d, group):
                 parts.setdefault(mask, {})[mono] = int(c)
         classes.append(ExtClass(cfg, parts))
     return len(classes), classes
+
+
+def transvection_group(cfg, kind):
+    """SL by every transvection E_ij(1), i != j; GL adds diag(r, 1, ..., 1)."""
+    n = cfg.n
+    gens = [
+        LinearSubst.transvection(cfg, i, j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+    ]
+    if kind == "GL":
+        gens.append(LinearSubst.diagonal(cfg, [primitive_root(cfg.p)] + [1] * (n - 1)))
+    return GroupSpec(kind, cfg, tuple(gens))
 
 
 def membership_dickson_dense(x, ring):

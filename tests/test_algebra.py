@@ -10,6 +10,7 @@ from milnorq import (
     ConfigMismatchError,
     ExtClass,
     LinearSubst,
+    group_generators,
     substitute_linear,
 )
 from conftest import CONFIGS, random_class, random_homogeneous, random_subst
@@ -274,14 +275,19 @@ def classes(cfg):
 
 
 def shear_product(g):
-    """The matrix S_1 ... S_m diag(d) of the factors of g."""
+    """The matrix S_1 ... S_m Q of the factors of g, Q[k][perm[k]] = diag[k]."""
     p, n = g.cfg.p, g.cfg.n
     m = [[int(a == b) for b in range(n)] for a in range(n)]
     for i, j, c in g.shears:
         # right multiplication by I + c*E_ij: column j += c * column i
         for row in m:
             row[j] = (row[j] + c * row[i]) % p
-    return tuple(tuple(v * d % p for v, d in zip(row, g.diag)) for row in m)
+    # right multiplication by Q: column perm[k] is column k times diag[k]
+    out = [[0] * n for _ in range(n)]
+    for k, (j, d) in enumerate(zip(g.perm, g.diag)):
+        for row, new in zip(m, out):
+            new[j] = row[k] * d % p
+    return tuple(tuple(row) for row in out)
 
 
 class TestShearFactors:
@@ -303,8 +309,10 @@ class TestShearFactors:
     @given(data=st.data())
     def test_factors_multiply_back(self, data):
         g = data.draw(configs().flatmap(substs))
+        n = g.cfg.n
         assert all(i != j and c for i, j, c in g.shears)
-        assert len(g.shears) <= g.cfg.n**2
+        assert len(g.shears) <= n * (n - 1)
+        assert sorted(g.perm) == list(range(n)) and all(g.diag)
         assert shear_product(g) == g.rows
 
     @PROPERTY
@@ -329,6 +337,23 @@ class TestShearFactors:
     def test_elementary_matrices_are_their_own_factors(self):
         cfg = Config(5, 3)
         g = LinearSubst.transvection(cfg, 1, 3, 2)
-        assert (g.shears, g.diag) == (((0, 2, 2),), (1, 1, 1))
+        assert (g.shears, g.perm, g.diag) == (((0, 2, 2),), (0, 1, 2), (1, 1, 1))
         g = LinearSubst.diagonal(cfg, [2, 3, 4])
-        assert (g.shears, g.diag, g.det) == ((), (2, 3, 4), 4)
+        assert (g.shears, g.perm, g.diag, g.det) == ((), (0, 1, 2), (2, 3, 4), 4)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_monomial_matrices_factor_with_no_shears(self, n):
+        cfg = Config(5, n)
+        cycle = group_generators(cfg, "SL").generators[0]
+        assert (cycle.shears, cycle.perm) == ((), tuple(range(1, n)) + (0,))
+        assert (cycle.diag, cycle.det) == ((1,) * (n - 1) + ((-1) ** (n - 1) % 5,), 1)
+        rng = random.Random(f"monomial:{n}")
+        for _ in range(10):
+            perm = rng.sample(range(n), n)
+            diag = [rng.randrange(1, 5) for _ in range(n)]
+            rows = [[d * (j == perm[k]) for j in range(n)] for k, d in enumerate(diag)]
+            g = LinearSubst(cfg, rows)
+            assert (g.shears, g.perm, g.diag) == ((), tuple(perm), tuple(diag))
+            assert g.det == det_by_permutations(rows, 5)
+            x = random_class(rng, cfg, max_terms=4, max_exp=5)
+            assert substitute_linear(g, x) == substitute_linear_expanded(g, x)

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from milnorq import (
     Config,
@@ -14,6 +16,7 @@ from milnorq import (
     render_class,
 )
 from conftest import CONFIGS, random_class
+from test_algebra import PROPERTY, classes, configs
 
 
 class TestParse:
@@ -108,6 +111,13 @@ class TestRender:
             for _ in range(25):
                 x = random_class(rng, cfg, max_terms=5, max_exp=4)
                 assert parse_class(render_class(x), cfg) == x
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_round_trip_property(self, data):
+        cfg = data.draw(configs())
+        x = data.draw(classes(cfg))
+        assert parse_class(render_class(x), cfg) == x
 
 
 class TestJson:

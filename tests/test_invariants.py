@@ -42,7 +42,10 @@ from oracles import (
     dickson_polynomial_shift,
     invariant_dimension_stacked,
     membership_dickson_dense,
+    transvection_group,
 )
+from test_algebra import PROPERTY, classes
+
 
 class TestDicksonPolynomial:
     def test_rank_one_explicit(self):
@@ -185,13 +188,66 @@ def test_results_survive_eviction(lookup, cache_info):
     assert again == first
 
 
+def _is_elementary(rows):
+    """True for I + c*E_ij with i != j and c != 0."""
+    off = [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if i != j and v]
+    return len(off) == 1 and all(rows[i][i] == 1 for i in range(len(rows)))
+
+
 class TestGroups:
     def test_generator_counts(self):
-        assert len(group_generators(Config(3, 2), "SL").generators) == 2
-        assert len(group_generators(Config(3, 3), "SL").generators) == 6
+        for n in (2, 3, 4):
+            assert len(group_generators(Config(3, n), "SL").generators) == 2
+            assert len(group_generators(Config(3, n), "GL").generators) == 3
         assert len(group_generators(Config(3, 1), "SL").generators) == 0
         gl1 = group_generators(Config(3, 1), "GL")
         assert [g.rows for g in gl1.generators] == [((2,),)]
+
+    @pytest.mark.parametrize(
+        "p, n, sl_order, gl_order",
+        [(3, 2, 24, 48), (5, 2, 120, 480), (7, 2, 336, 2016), (3, 3, 5616, 11232)],
+    )
+    def test_generators_close_to_the_whole_group(self, p, n, sl_order, gl_order):
+        # |SL_n(F_p)| = prod_(k<n) (p^n - p^k) / (p - 1), and GL is p - 1 times that
+        cfg = Config(p, n)
+        for kind, order in (("SL", sl_order), ("GL", gl_order)):
+            gens = [g.rows for g in group_generators(cfg, kind).generators]
+            identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            seen, frontier = {identity}, [identity]
+            while frontier:
+                new = []
+                for m in frontier:
+                    for g in gens:
+                        prod = tuple(
+                            tuple(sum(a * b for a, b in zip(row, col)) % p for col in zip(*g))
+                            for row in m
+                        )
+                        if prod not in seen:
+                            seen.add(prod)
+                            new.append(prod)
+                frontier = new
+            assert len(seen) == order, kind
+
+    @pytest.mark.parametrize("p", [3, 97])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_words_in_the_generators_give_every_transvection(self, p, n):
+        # the argument of group_generators, also where the group is too
+        # large to close: conjugates of E_12(1)^(+-1) by powers of C, then
+        # commutators, reach every E_ij(1)
+        cfg = Config(p, n)
+        cycle, shear = group_generators(cfg, "SL").generators
+        found = {shear, shear.inverse()}
+        for _ in range(n):
+            found |= {cycle.inverse() @ g @ cycle for g in found}
+        grown = True
+        while grown:
+            commutators = {a @ b @ a.inverse() @ b.inverse() for a in found for b in found}
+            new = {g for g in commutators if _is_elementary(g.rows)} - found
+            found |= new
+            grown = bool(new)
+        assert all(_is_elementary(g.rows) for g in found)
+        pairs = itertools.permutations(range(1, n + 1), 2)
+        assert {LinearSubst.transvection(cfg, i, j) for i, j in pairs} <= found
 
     def test_primitive_roots(self):
         assert primitive_root(3) == 2
@@ -216,6 +272,46 @@ class TestGroups:
         assert group_generators.cache_info().misses == after.misses
 
 
+class TestAgainstTheTransvectionSet:
+    """group_generators against all n(n-1) transvections (plus the diagonal
+    for GL) from tests/oracles.py: both sets generate the same group."""
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_invariance_verdicts(self, data):
+        cfg = data.draw(st.sampled_from([Config(3, 2), Config(5, 2), Config(3, 3), Config(3, 4)]))
+        kind = data.draw(st.sampled_from(["SL", "GL"]))
+        # a Dickson monomial in e and the c's is SL-invariant, GL-invariant
+        # when (p - 1) divides the power of e; a random class rarely is
+        ds = dickson_classes(cfg)
+        x = ExtClass.zero(cfg)
+        for g in data.draw(st.lists(st.sampled_from((ds.e,) + ds.c), max_size=2)):
+            x = x * g if x else g
+        if data.draw(st.booleans()):
+            x = x + data.draw(classes(cfg))
+        ours = is_invariant(x, group_generators(cfg, kind))
+        assert ours == is_invariant(x, transvection_group(cfg, kind))
+
+    @pytest.mark.parametrize(
+        "p, n, kind, dmax", [(3, 4, "SL", 14), (5, 3, "GL", 16), (3, 3, "SL", 30)]
+    )
+    def test_invariant_bases(self, p, n, kind, dmax):
+        cfg = Config(p, n)
+        ours, reference = group_generators(cfg, kind), transvection_group(cfg, kind)
+        for d in range(dmax + 1):
+            got = invariant_dimension(cfg, d, ours)
+            assert got == invariant_dimension(cfg, d, reference), d
+
+    @pytest.mark.parametrize("p, n", [(3, 3), (5, 2)])
+    def test_orbit_sizes(self, p, n):
+        cfg = Config(p, n)
+        for kind in ("SL", "GL"):
+            ours, reference = group_generators(cfg, kind), transvection_group(cfg, kind)
+            for start in itertools.product(range(p), repeat=n):
+                if any(start):
+                    assert orbit_size(cfg, ours, start) == orbit_size(cfg, reference, start)
+
+
 class TestInvariance:
     def test_bottom_dickson_class_is_gl_invariant(self):
         cfg = Config(3, 2)
@@ -234,8 +330,8 @@ class TestInvariance:
         assert is_invariant(ExtClass.dt_top(cfg), group_generators(cfg, "SL"))
 
     def test_verdicts_survive_inverse_transpose_generators(self):
-        # the generator sets are closed under the convention swap, so
-        # invariance decided with g^(-T) generators must agree
+        # the g^(-T) of a generating set generate the same group, so
+        # invariance decided with them must agree
         cfg = Config(3, 2)
         ds = dickson_classes(cfg)
         for kind in ("SL", "GL"):
