@@ -22,6 +22,7 @@ prod_(k in A) d_k.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter
 
@@ -40,41 +41,27 @@ def is_prime(m):
     return True
 
 
-class Config:
+class Config(namedtuple("Config", "p n")):
     """Ambient parameters: an odd prime p and the rank n of the group.
 
-    Immutable and compared field by field, as it keys the per-config caches.
+    A named tuple, so immutable and compared and hashed as the tuple
+    (p, n), as it keys the per-config caches: Config(3, 2) == (3, 2).
+    Construction checks both ranges.
     """
 
-    __slots__ = ("p", "n")
+    __slots__ = ()
 
-    def __init__(self, p, n):
+    def __new__(cls, p, n):
         if not (3 <= p <= 97 and is_prime(p)):
             raise ValueError(f"p must be an odd prime in [3, 97], got {p}")
         if not 1 <= n <= 4:
             raise ValueError(f"n must be in [1, 4], got {n}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
+        return super().__new__(cls, p, n)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable Config")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable Config")
-
-    def __eq__(self, other):
-        if other.__class__ is not Config:
-            return NotImplemented
-        return (self.p, self.n) == (other.p, other.n)
-
-    def __hash__(self):
-        return hash((self.p, self.n))
-
-    def __repr__(self):
-        return f"Config(p={self.p!r}, n={self.n!r})"
-
-    def __reduce__(self):
-        return Config, (self.p, self.n)
+    @classmethod
+    def _make(cls, fields):
+        # namedtuple's _make, which _replace calls, would skip the checks
+        return cls(*fields)
 
     @property
     def zero_mono(self):
@@ -182,8 +169,8 @@ class ExtClass:
         """Build from (mask, mono, coeff) triples, normalizing on the way."""
         parts = {}
         for mask, mono, coeff in terms:
-            _accumulate(parts, mask, mono, coeff, cfg.p)
-        return cls(cfg, parts)
+            add_into(parts.setdefault(mask, {}), {mono: coeff}, 1, cfg.p)
+        return cls(cfg, {m: q for m, q in parts.items() if q})
 
     # -- inspection --------------------------------------------------------
 
@@ -335,18 +322,6 @@ class ExtClass:
 
     def __repr__(self):
         return f"<ExtClass p={self.cfg.p} n={self.cfg.n}: {self}>"
-
-
-def _accumulate(parts, mask, mono, coeff, p):
-    """Add one term to parts in place; backend.add_into adds whole dicts."""
-    poly = parts.setdefault(mask, {})
-    v = (poly.get(mono, 0) + coeff) % p
-    if v:
-        poly[mono] = v
-    else:
-        poly.pop(mono, None)
-        if not poly:
-            del parts[mask]
 
 
 class LinearSubst:

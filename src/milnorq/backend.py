@@ -2,8 +2,9 @@
 
 A polynomial in n variables over F_p is a dict mapping exponent tuples of
 length n to coefficients in 1..p-1; zero coefficients are never stored.
-poly_mul and add_into are the only loops that combine two such dicts;
-algebra._accumulate adds a single term.
+poly_mul and add_into are the only loops that combine two such dicts, and
+add_into is the one mod-p accumulate helper: a single term is added as
+a one-term dict.
 
 poly_mul is one loop on packed monomials (Monagan & Pearce, "Parallel
 sparse polynomial multiplication using heaps", ISSAC 2009), with Python

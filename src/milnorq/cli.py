@@ -29,6 +29,7 @@ from .errors import (
 )
 from .exprio import class_to_json, parse_class, render_class
 from .invariants import (
+    _generator_degrees,
     check_invariant_matrix_bytes,
     decomposition_text,
     dickson_classes,
@@ -39,7 +40,6 @@ from .invariants import (
     moore_class,
     orbit_size,
     predicted_dimension,
-    ring_generators,
 )
 from .steenrod import apply_word, milnor_q, parse_op_word
 from .torus import e8_adjoint_check
@@ -57,8 +57,7 @@ def _group_name(cfg, kind):
     return f"{kind.upper()}_{cfg.n}(F_{cfg.p})"
 
 
-def cmd_dickson(args):
-    cfg = Config(args.p, args.n)
+def cmd_dickson(args, cfg):
     ds = dickson_classes(cfg)
     lines = [f"dickson classes for p={cfg.p}, n={cfg.n}"]
     lines.append(f"e  (degree {ds.e.degree():3d}) = {render_class(ds.e)}")
@@ -68,21 +67,18 @@ def cmd_dickson(args):
     return 0, ds.to_json(), lines
 
 
-def cmd_moore(args):
-    cfg = Config(args.p, args.n)
+def cmd_moore(args, cfg):
     x = moore_class(cfg)
     return 0, class_to_json(x), [render_class(x)]
 
 
-def cmd_apply(args):
-    cfg = Config(args.p, args.n)
+def cmd_apply(args, cfg):
     word = parse_op_word(args.ops)
     y = apply_word(word, parse_class(args.expr, cfg))
     return 0, class_to_json(y), [render_class(y)]
 
 
-def cmd_invariance(args):
-    cfg = Config(args.p, args.n)
+def cmd_invariance(args, cfg):
     group = group_generators(cfg, args.group)
     inv = is_invariant(parse_class(args.expr, cfg), group)
     payload = {"p": cfg.p, "n": cfg.n, "group": group.kind, "invariant": inv}
@@ -90,11 +86,10 @@ def cmd_invariance(args):
     return 0, payload, lines
 
 
-def cmd_membership(args):
-    cfg = Config(args.p, args.n)
+def cmd_membership(args, cfg):
     ring = args.ring.upper()
     dec = membership_dickson(parse_class(args.expr, cfg), ring)
-    names, _ = ring_generators(cfg, ring)
+    names = list(_generator_degrees(cfg, ring))
     payload = {
         "p": cfg.p,
         "n": cfg.n,
@@ -117,8 +112,7 @@ def cmd_membership(args):
     return 0, payload, lines
 
 
-def cmd_orbit(args):
-    cfg = Config(args.p, args.n)
+def cmd_orbit(args, cfg):
     start = tuple(int(c) for c in args.start.split(","))
     size = orbit_size(cfg, group_generators(cfg, args.group), start)
     payload = {
@@ -131,8 +125,7 @@ def cmd_orbit(args):
     return 0, payload, [f"orbit size: {size}"]
 
 
-def cmd_hilbert(args):
-    cfg = Config(args.p, args.n)
+def cmd_hilbert(args, cfg):
     if args.max_degree < 0:
         raise ValueError("max degree must be non-negative")
     group = group_generators(cfg, args.group)
@@ -164,8 +157,7 @@ def cmd_hilbert(args):
     return (0 if ok else 1), payload, lines
 
 
-def cmd_theorem_main(args):
-    cfg = Config(args.p, args.n)
+def cmd_theorem_main(args, cfg):
     case = args.case
     if case is None:
         if cfg.n == 2:
@@ -200,8 +192,7 @@ def cmd_theorem_main(args):
     return (0 if contract else 1), payload, lines
 
 
-def cmd_chern_reg(args):
-    cfg = Config(args.p, args.n)
+def cmd_chern_reg(args, cfg):
     creg = total_chern(regular_representation(cfg))
     ds = dickson_classes(cfg)
     expected = ExtClass.one(cfg)
@@ -230,8 +221,7 @@ def _load_weights(args, cfg):
         return WeightMultiset.parse(fh.read(), cfg)
 
 
-def cmd_chern_rep(args):
-    cfg = Config(args.p, args.n)
+def cmd_chern_rep(args, cfg):
     rho = _load_weights(args, cfg)
     c = total_chern(rho)
     payload = {
@@ -244,8 +234,7 @@ def cmd_chern_rep(args):
     return 0, payload, lines
 
 
-def cmd_mu(args):
-    cfg = Config(args.p, args.n)
+def cmd_mu(args, cfg):
     rho = _load_weights(args, cfg)
     chern = total_chern(rho)
     profile = divisibility_profile(chern)
@@ -265,8 +254,7 @@ def cmd_mu(args):
     return 0, payload, lines
 
 
-def cmd_prop_iso(args):
-    cfg = Config(args.p, args.n)
+def cmd_prop_iso(args, cfg):
     if cfg.n == 2:
         d = 2
         expected = ExtClass.dt_top(cfg)
@@ -294,7 +282,7 @@ def cmd_prop_iso(args):
     return (0 if ok else 1), payload, lines
 
 
-def cmd_e8_adjoint(args):
+def cmd_e8_adjoint(args, cfg):
     report = e8_adjoint_check(args.p, args.trunc)
     lines = [
         f"Chern series: {report['series']}",
@@ -396,7 +384,9 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 2
     try:
-        code, payload, lines = args.handler(args)
+        # every subcommand but e8-adjoint takes -n and works in one Config
+        cfg = Config(args.p, args.n) if "n" in args else None
+        code, payload, lines = args.handler(args, cfg)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from functools import lru_cache
 
 from .algebra import (
@@ -69,23 +70,10 @@ def dickson_polynomial(cfg):
     return f
 
 
-class DicksonSet:
+class DicksonSet(namedtuple("DicksonSet", "cfg e c")):
     """e_n together with (c_{n,n-1}, ..., c_{n,0})."""
 
-    __slots__ = ("cfg", "e", "c")
-
-    def __init__(self, cfg, e, c):
-        self.cfg = cfg
-        self.e = e
-        self.c = c
-
-    def __eq__(self, other):
-        if other.__class__ is not DicksonSet:
-            return NotImplemented
-        return (self.cfg, self.e, self.c) == (other.cfg, other.e, other.c)
-
-    def __hash__(self):
-        return hash((self.cfg, self.e, self.c))
+    __slots__ = ()
 
     def to_json(self):
         from .exprio import class_to_json
@@ -194,23 +182,10 @@ def primitive_root(p):
     raise ValueError(f"no primitive root found mod {p}")
 
 
-class GroupSpec:
+class GroupSpec(namedtuple("GroupSpec", "kind cfg generators")):
     """A named matrix group given by generators."""
 
-    __slots__ = ("kind", "cfg", "generators")
-
-    def __init__(self, kind, cfg, generators):
-        self.kind = kind
-        self.cfg = cfg
-        self.generators = generators
-
-    def __eq__(self, other):
-        if other.__class__ is not GroupSpec:
-            return NotImplemented
-        return (self.kind, self.cfg, self.generators) == (other.kind, other.cfg, other.generators)
-
-    def __hash__(self):
-        return hash((self.kind, self.cfg, self.generators))
+    __slots__ = ()
 
 
 def group_generators(cfg, kind):
@@ -300,33 +275,27 @@ def grade_sizes(cfg, d):
 
 
 def _generator_degrees(cfg, ring):
-    """Degrees of the ring_generators classes, in their order, from the
-    closed forms deg c_{n,i} = 2(p^n - p^i) and deg e_n = 2(p^n - 1)/(p - 1)
-    (checked against the classes by _validate_dickson), with no class built.
+    """{name: degree} of the ring_generators classes, in their order, from
+    the closed forms deg c_{n,i} = 2(p^n - p^i) and deg e_n =
+    2(p^n - 1)/(p - 1) (checked against the classes by _validate_dickson),
+    with no class built.
     """
     p, n = cfg.p, cfg.n
-    degrees = [2 * (p**n - p**i) for i in range(n - 1, -1, -1)]
+    degrees = {f"c{i}": 2 * (p**n - p**i) for i in range(n - 1, -1, -1)}
     ring = ring.upper()
     if ring == "D":
         return degrees
     if ring == "SD":
-        return [2 * (p**n - 1) // (p - 1)] + degrees[:-1]
+        del degrees["c0"]
+        return {"e": 2 * (p**n - 1) // (p - 1), **degrees}
     raise ValueError(f"unknown ring {ring!r}; expected 'D' or 'SD'")
 
 
 def ring_generators(cfg, ring):
     """(names, classes) of the polynomial generators of D_n or SD_n."""
-    ring = ring.upper()
+    names = list(_generator_degrees(cfg, ring))
     ds = dickson_classes(cfg)
-    n = cfg.n
-    if ring == "D":
-        names = [f"c{i}" for i in range(n - 1, -1, -1)]
-        gens = list(ds.c)
-    elif ring == "SD":
-        names = ["e"] + [f"c{i}" for i in range(n - 1, 0, -1)]
-        gens = [ds.e] + list(ds.c[:-1])
-    else:
-        raise ValueError(f"unknown ring {ring!r}; expected 'D' or 'SD'")
+    gens = list(ds.c) if ring.upper() == "D" else [ds.e] + list(ds.c[:-1])
     return names, gens
 
 
@@ -395,7 +364,7 @@ def membership_dickson(x, ring):
     if not x:
         return {}
     d = x.degree()
-    degrees = _generator_degrees(cfg, ring)
+    degrees = list(_generator_degrees(cfg, ring).values())
     check_membership_bytes(cfg, d, degrees)
     if next(_compositions(d, degrees), None) is None:
         return None
@@ -433,7 +402,7 @@ def membership_dickson(x, ring):
 
 def decomposition_text(cfg, ring, decomposition):
     """Human-readable form of a membership decomposition."""
-    names, _ = ring_generators(cfg, ring)
+    names = list(_generator_degrees(cfg, ring))
     if decomposition is None:
         return "not a member"
     if not decomposition:
@@ -452,21 +421,23 @@ def decomposition_text(cfg, ring, decomposition):
 
 
 def orbit_size(cfg, group, start):
-    """Cardinality of the orbit of a nonzero weight vector under the group."""
+    """Cardinality of the orbit of a nonzero weight vector under the group.
+
+    The search applies the generators alone: in a finite group the inverse
+    of g is a positive power of g, so it reaches no vector that they miss.
+    """
     p = cfg.p
     start = tuple(v % p for v in start)
     if len(start) != cfg.n:
         raise ValueError("start vector has wrong length")
     if not any(start):
         raise ValueError("zero start vector rejected")
-    maps = [g for g in group.generators]
-    maps += [g.inverse() for g in group.generators]
     seen = {start}
     frontier = [start]
     while frontier:
         new = []
         for v in frontier:
-            for g in maps:
+            for g in group.generators:
                 image = g.apply_weight(v)
                 if image not in seen:
                     seen.add(image)
@@ -608,7 +579,7 @@ def predicted_dimension(cfg, d, ring):
     if algebra is None:
         raise ValueError(f"unknown ring {ring!r}")
     p, n = cfg.p, cfg.n
-    base = _generator_degrees(cfg, algebra)
+    base = _generator_degrees(cfg, algebra).values()
     ways = [0] * (d + 1)
     ways[0] = 1
     for g in base:
@@ -619,6 +590,6 @@ def predicted_dimension(cfg, d, ring):
     elif ring == "SM":
         module = [0, n] + _qword_degrees(cfg)
     else:
-        shift = (p - 2) * _generator_degrees(cfg, "SD")[0]  # e^(p-2)
+        shift = (p - 2) * _generator_degrees(cfg, "SD")["e"]  # e^(p-2)
         module = [0, shift + n] + [shift + q for q in _qword_degrees(cfg)]
     return sum(ways[d - g] for g in module if 0 <= d - g)

@@ -10,7 +10,7 @@ Q_i raises cohomological degree by 2p^i - 1, P^j by 2j(p-1).
 
 from __future__ import annotations
 
-from .algebra import ExtClass, _accumulate, _binomials_mod_p
+from .algebra import ExtClass, _binomials_mod_p
 from .backend import add_into
 
 
@@ -23,19 +23,14 @@ def milnor_q(i, x):
     q = p**i
     parts = {}
     for mask, poly in x.parts.items():
-        pos = 0
+        sign = 1  # (-1)^(dt factors before dt_(bit+1)) in the ascending product
         for bit in range(cfg.n):
             if not mask >> bit & 1:
                 continue
-            # dt at 1-based position pos+1 inside the ascending product
-            sign = 1 if pos % 2 == 0 else p - 1
-            newmask = mask ^ (1 << bit)
-            for mono, c in poly.items():
-                nm = list(mono)
-                nm[bit] += q
-                _accumulate(parts, newmask, tuple(nm), sign * c, p)
-            pos += 1
-    return ExtClass(cfg, parts)
+            shifted = {m[:bit] + (m[bit] + q,) + m[bit + 1:]: c for m, c in poly.items()}
+            add_into(parts.setdefault(mask ^ (1 << bit), {}), shifted, sign, p)
+            sign = -sign
+    return ExtClass(cfg, {m: part for m, part in parts.items() if part})
 
 
 def _term_totals(mono, jmax, p, n):

@@ -251,7 +251,7 @@ def membership_dickson_dense(x, ring):
     if not x:
         return {}
     d = x.degree()
-    candidates = list(_compositions(d, _generator_degrees(cfg, ring)))
+    candidates = list(_compositions(d, list(_generator_degrees(cfg, ring).values())))
     if not candidates:
         return None
     _, gens = ring_generators(cfg, ring)

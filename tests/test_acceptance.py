@@ -9,6 +9,8 @@ import time
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from milnorq import (
     Config,
@@ -42,6 +44,7 @@ from conftest import (
     x_coefficient,
 )
 from oracles import dickson_polynomial_naive
+from test_algebra import PROPERTY, classes, configs
 
 REG_SET = [(3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (5, 3), (3, 4), (7, 3)]
 
@@ -221,6 +224,41 @@ def test_criterion_09_operation_laws():
                 assert milnor_q(i + 1, x) == reduced_power(s, milnor_q(i, x)) - milnor_q(
                     i, reduced_power(s, x)
                 )
+
+
+def homogeneous(cfg):
+    """The top-degree part of a nonzero class drawn by classes(cfg)."""
+    return classes(cfg).filter(bool).map(lambda x: x.homogeneous_part(x.degree()))
+
+
+# the laws of criterion 09 again, on classes that hypothesis draws and
+# shrinks; up to (97, 4), beyond the seeded loops' configs
+@PROPERTY
+@given(data=st.data())
+def test_criterion_09_graded_commutativity_and_associativity_property(data):
+    cfg = data.draw(configs())
+    x, y, z = data.draw(homogeneous(cfg)), data.draw(homogeneous(cfg)), data.draw(classes(cfg))
+    assert x * y == (y * x).scale((-1) ** (x.degree() * y.degree()))
+    assert (x * y) * z == x * (y * z)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_criterion_09_milnor_q_odd_derivation_property(data):
+    cfg = data.draw(configs())
+    x, y, i = data.draw(homogeneous(cfg)), data.draw(classes(cfg)), data.draw(st.integers(0, 2))
+    sign = (-1) ** x.degree()
+    assert milnor_q(i, x * y) == milnor_q(i, x) * y + x.scale(sign) * milnor_q(i, y)
+    assert not milnor_q(i, milnor_q(i, y))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_criterion_09_cartan_formula_property(data):
+    cfg = data.draw(configs())
+    x, y, j = data.draw(classes(cfg)), data.draw(classes(cfg)), data.draw(st.integers(0, 3))
+    terms = (reduced_power(i, x) * reduced_power(j - i, y) for i in range(j + 1))
+    assert reduced_power(j, x * y) == sum(terms, ExtClass.zero(cfg))
 
 
 def test_criterion_10_oracle_equivalences():

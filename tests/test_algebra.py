@@ -1,4 +1,5 @@
 import copy
+import pickle
 import random
 
 import pytest
@@ -31,6 +32,23 @@ class TestConfig:
     def test_rejects_bad_ranks(self, n):
         with pytest.raises(ValueError):
             Config(3, n)
+
+    def test_immutable_named_tuple(self):
+        cfg = Config(3, 2)
+        for change in (
+            lambda: setattr(cfg, "p", 5),
+            lambda: delattr(cfg, "n"),
+            lambda: setattr(cfg, "extra", 1),
+        ):
+            with pytest.raises(AttributeError):
+                change()
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        assert repr(cfg) == "Config(p=3, n=2)"
+        assert cfg == (3, 2) and hash(cfg) == hash((3, 2))
+        assert cfg.zero_mono == (0, 0)
+        assert cfg._replace(n=4) == Config(3, 4)
+        with pytest.raises(ValueError):
+            cfg._replace(p=4)
 
     def test_values_from_different_configs_do_not_mix(self):
         a = ExtClass.t(Config(3, 2), 1)

@@ -70,6 +70,26 @@ class TestBasicCommands:
         assert code == 0
         assert "not a member" in out
 
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_membership_names_the_generators_without_building_them(
+        self, capsys, monkeypatch, extra
+    ):
+        # t1 has degree 2, below every D_4 generator: decided and named
+        # from the closed-form degrees, with no Dickson class built
+        def unreachable(*args):
+            raise AssertionError("the Dickson set was built")
+
+        monkeypatch.setattr(invariants, "dickson_classes", unreachable)
+        argv = ["membership", "-p", "3", "-n", "4", "--ring", "d", "--expr", "t1"]
+        code, out, _ = run(capsys, argv + extra)
+        assert code == 0
+        if extra:
+            data = json.loads(out)
+            assert data["generators"] == ["c3", "c2", "c1", "c0"]
+            assert data["member"] is False
+        else:
+            assert out == "not a member of D_4\n"
+
     def test_orbit(self, capsys):
         code, out, _ = run(
             capsys, ["orbit", "-p", "3", "-n", "2", "--group", "sl", "--start", "1,0"]
@@ -242,12 +262,36 @@ class TestExitCodes:
         assert run(capsys, ["--help"])[0] == 0
 
 
+# one call of each of the 13 subcommands; WEIGHTS is replaced by a file path
+EVERY_SUBCOMMAND = [
+    ["dickson", "-p", "5", "-n", "2"],
+    ["moore", "-p", "3", "-n", "3"],
+    ["apply", "-p", "3", "-n", "2", "--ops", "Q0,P1", "--expr", "t1*dt2 + dt1"],
+    ["invariance", "-p", "3", "-n", "2", "--group", "gl", "--expr", "dt1*dt2"],
+    ["membership", "-p", "3", "-n", "2", "--ring", "sd", "--expr", "t1^3*t2 - t1*t2^3"],
+    ["orbit", "-p", "5", "-n", "2", "--group", "sl", "--start", "1,2"],
+    ["hilbert", "-p", "3", "-n", "2", "--group", "gl", "--max-degree", "6"],
+    ["theorem-main", "-p", "3", "-n", "2"],
+    ["chern-reg", "-p", "3", "-n", "2"],
+    ["chern-rep", "-p", "3", "-n", "2", "--weights", "WEIGHTS"],
+    ["mu", "-p", "3", "-n", "2", "--weights", "WEIGHTS"],
+    ["prop-iso", "-p", "3", "-n", "2"],
+    ["e8-adjoint", "-p", "5"],
+]
+
+
 class TestOutputContract:
-    def test_byte_identical_reruns(self, capsys):
-        argv = ["dickson", "-p", "5", "-n", "2", "--json"]
-        _, first, _ = run(capsys, argv)
-        _, second, _ = run(capsys, argv)
-        assert first == second
+    def test_byte_identical_reruns(self, capsys, tmp_path):
+        weights = tmp_path / "weights.txt"
+        weights.write_text("1,0 x2\n0,1\n1,1\n")
+        for call in EVERY_SUBCOMMAND:
+            argv = [str(weights) if a == "WEIGHTS" else a for a in call]
+            for extra in ([], ["--json"]):
+                first = run(capsys, argv + extra)
+                assert first[0] == 0 and first[1], argv + extra
+                assert run(capsys, argv + extra) == first, argv + extra
+                if extra and "-n" in argv:
+                    assert list(json.loads(first[1]))[:2] == ["p", "n"], argv
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

@@ -351,7 +351,8 @@ class TestMembership:
     def test_closed_form_degrees_match_the_generators(self, p, n, ring):
         cfg = Config(p, n)
         _, gens = ring_generators(cfg, ring)
-        assert invariants._generator_degrees(cfg, ring) == [g.degree() for g in gens]
+        degrees = invariants._generator_degrees(cfg, ring).values()
+        assert list(degrees) == [g.degree() for g in gens]
 
     def test_unknown_ring(self):
         with pytest.raises(ValueError, match="unknown ring"):
@@ -530,6 +531,21 @@ class TestOrbits:
         cfg = Config(3, 2)
         with pytest.raises(ValueError):
             orbit_size(cfg, group_generators(cfg, "SL"), (0, 0))
+
+    def test_takes_no_inverse(self, monkeypatch):
+        # in a finite group each inverse is a positive power of its generator
+        def unreachable(self):
+            raise AssertionError("orbit_size built an inverse")
+
+        monkeypatch.setattr(LinearSubst, "inverse", unreachable)
+        for p, n in [(3, 2), (7, 2), (3, 3), (3, 4)]:
+            cfg = Config(p, n)
+            for kind in ("SL", "GL"):
+                group = group_generators(cfg, kind)
+                for start in [(1,) + (0,) * (n - 1), (0,) * (n - 2) + (1, 2)]:
+                    assert orbit_size(cfg, group, start) == p**n - 1
+        cfg = Config(5, 1)
+        assert orbit_size(cfg, group_generators(cfg, "GL"), (2,)) == 4
 
 
 class TestInvariantDimension:
