@@ -216,6 +216,21 @@ def _coordinate_change(cfg, v):
     return LinearSubst(cfg, rows)
 
 
+def _order_at_minus_one(layers, lam_inv, p):
+    """The least j with b_j != 0, for the layers a_i scaled by lam_inv^i."""
+    scales = {i: pow(lam_inv, i, p) for i in layers}
+    mu = 0
+    while True:
+        taylor = {}
+        for i, a in layers.items():
+            c = math.comb(i, mu) % p  # 0 for i < mu
+            if c:
+                add_into(taylor, a, (-1) ** (i - mu) * c * scales[i], p)
+        if taylor:
+            return mu
+        mu += 1
+
+
 def divisibility_profile(x, cfg=None):
     """For each nonzero v, the exact power of (1 + v) dividing x.
 
@@ -224,8 +239,10 @@ def divisibility_profile(x, cfg=None):
     free of t_1.  Written in powers of 1 + t_1 it is sum_j b_j (1 + t_1)^j
     with b_j = sum_i C(i, j) (-1)^(i-j) a_i, so the exponent is the least j
     with b_j != 0: one pass over the layers per order j, with no quotient
-    built.  The loop visits all p^n vectors, so it takes the desk-scale
-    check first.
+    built.  The change for lam*v is the one for v followed by
+    t_1 -> t_1 / lam, so x is substituted once per line, for the v whose
+    first nonzero entry is 1, and lam*v reads layer i scaled by lam^(-i).
+    The loop visits all p^n vectors, so it takes the desk-scale check first.
     """
     cfg = x.cfg if cfg is None else cfg
     _guard_points(cfg)
@@ -233,23 +250,15 @@ def divisibility_profile(x, cfg=None):
     p, n = cfg.p, cfg.n
     profile = {}
     for v in itertools.product(range(p), repeat=n):
-        if not any(v):
+        if next((c for c in v if c), 0) != 1:  # v = 0, or first nonzero entry not 1
             continue
         layers = {}
         for mono, c in substitute_linear(_coordinate_change(cfg, v), x).parts[0].items():
             layers.setdefault(mono[0], {})[mono[1:]] = c
-        mu = 0
-        while True:
-            taylor = {}
-            for i, a in layers.items():
-                c = math.comb(i, mu) % p  # 0 for i < mu
-                if c:
-                    add_into(taylor, a, (-1) ** (i - mu) * c, p)
-            if taylor:
-                break
-            mu += 1
-        profile[v] = mu
-    return profile
+        for lam in range(1, p):
+            mu = _order_at_minus_one(layers, pow(lam, -1, p), p)
+            profile[tuple(lam * c % p for c in v)] = mu
+    return dict(sorted(profile.items()))  # the order of itertools.product
 
 
 def power_of_regular(x, cfg=None):

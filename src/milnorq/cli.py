@@ -4,45 +4,29 @@ Exit codes: 0 when every asserted check passed, 1 when a mathematical check
 failed, 2 for usage, parse or resource-guard errors.  Every subcommand
 honors --json and --out FILE, and identical invocations produce
 byte-identical output.
+
+A call runs only what its subcommand uses.  build_parser adds only the
+subcommand argv names, json is imported only for --json, and the library
+modules are the package's lazily loaded ones (see milnorq/__init__.py),
+each run when a handler first reaches into it.  Handlers look functions up
+through their module at call time.  The modules are bound here rather than
+imported inside each handler because perfbench/tracer.py wraps the
+functions of the modules it finds in sys.modules right after importing
+this one; with imports inside the handlers it would find none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .algebra import Config, ExtClass
-from .chern import (
-    WeightMultiset,
-    divisibility_profile,
-    obstruction_table,
-    power_of_regular,
-    regular_representation,
-    total_chern,
-)
+from . import algebra, chern, exprio, invariants, steenrod, torus
 from .errors import (
     ConfigMismatchError,
     ConsistencyError,
     ParseError,
     ResourceGuardError,
 )
-from .exprio import class_to_json, parse_class, render_class
-from .invariants import (
-    _generator_degrees,
-    check_invariant_matrix_bytes,
-    decomposition_text,
-    dickson_classes,
-    group_generators,
-    invariant_dimension,
-    is_invariant,
-    membership_dickson,
-    moore_class,
-    orbit_size,
-    predicted_dimension,
-)
-from .steenrod import apply_word, milnor_q, parse_op_word
-from .torus import e8_adjoint_check
 
 
 def _add_common(sub, with_n=True):
@@ -58,29 +42,29 @@ def _group_name(cfg, kind):
 
 
 def cmd_dickson(args, cfg):
-    ds = dickson_classes(cfg)
+    ds = invariants.dickson_classes(cfg)
     lines = [f"dickson classes for p={cfg.p}, n={cfg.n}"]
-    lines.append(f"e  (degree {ds.e.degree():3d}) = {render_class(ds.e)}")
+    lines.append(f"e  (degree {ds.e.degree():3d}) = {exprio.render_class(ds.e)}")
     for idx, ci in enumerate(ds.c):
         i = cfg.n - 1 - idx
-        lines.append(f"c{i} (degree {ci.degree():3d}) = {render_class(ci)}")
+        lines.append(f"c{i} (degree {ci.degree():3d}) = {exprio.render_class(ci)}")
     return 0, ds.to_json(), lines
 
 
 def cmd_moore(args, cfg):
-    x = moore_class(cfg)
-    return 0, class_to_json(x), [render_class(x)]
+    x = invariants.moore_class(cfg)
+    return 0, exprio.class_to_json(x), [exprio.render_class(x)]
 
 
 def cmd_apply(args, cfg):
-    word = parse_op_word(args.ops)
-    y = apply_word(word, parse_class(args.expr, cfg))
-    return 0, class_to_json(y), [render_class(y)]
+    word = steenrod.parse_op_word(args.ops)
+    y = steenrod.apply_word(word, exprio.parse_class(args.expr, cfg))
+    return 0, exprio.class_to_json(y), [exprio.render_class(y)]
 
 
 def cmd_invariance(args, cfg):
-    group = group_generators(cfg, args.group)
-    inv = is_invariant(parse_class(args.expr, cfg), group)
+    group = invariants.group_generators(cfg, args.group)
+    inv = invariants.is_invariant(exprio.parse_class(args.expr, cfg), group)
     payload = {"p": cfg.p, "n": cfg.n, "group": group.kind, "invariant": inv}
     lines = [f"invariant under {_group_name(cfg, args.group)}: {'yes' if inv else 'no'}"]
     return 0, payload, lines
@@ -88,8 +72,8 @@ def cmd_invariance(args, cfg):
 
 def cmd_membership(args, cfg):
     ring = args.ring.upper()
-    dec = membership_dickson(parse_class(args.expr, cfg), ring)
-    names = list(_generator_degrees(cfg, ring))
+    dec = invariants.membership_dickson(exprio.parse_class(args.expr, cfg), ring)
+    names = list(invariants._generator_degrees(cfg, ring))
     payload = {
         "p": cfg.p,
         "n": cfg.n,
@@ -107,14 +91,15 @@ def cmd_membership(args, cfg):
     else:
         lines = [
             f"member of {ring}_{cfg.n}",
-            f"decomposition: {decomposition_text(cfg, ring, dec)}",
+            f"decomposition: {invariants.decomposition_text(cfg, ring, dec)}",
         ]
     return 0, payload, lines
 
 
 def cmd_orbit(args, cfg):
     start = tuple(int(c) for c in args.start.split(","))
-    size = orbit_size(cfg, group_generators(cfg, args.group), start)
+    group = invariants.group_generators(cfg, args.group)
+    size = invariants.orbit_size(cfg, group, start)
     payload = {
         "p": cfg.p,
         "n": cfg.n,
@@ -128,14 +113,14 @@ def cmd_orbit(args, cfg):
 def cmd_hilbert(args, cfg):
     if args.max_degree < 0:
         raise ValueError("max degree must be non-negative")
-    group = group_generators(cfg, args.group)
+    group = invariants.group_generators(cfg, args.group)
     ring = "SM" if group.kind == "SL" else "M"
     for d in range(args.max_degree + 1):
-        check_invariant_matrix_bytes(cfg, d)  # refuse before any work
+        invariants.check_invariant_matrix_bytes(cfg, d)  # refuse before any work
     rows = []
     for d in range(args.max_degree + 1):
-        dim, _ = invariant_dimension(cfg, d, group)
-        pred = predicted_dimension(cfg, d, ring)
+        dim, _ = invariants.invariant_dimension(cfg, d, group)
+        pred = invariants.predicted_dimension(cfg, d, ring)
         rows.append({"d": d, "computed": dim, "predicted": pred, "match": dim == pred})
     ok = all(row["match"] for row in rows)
     payload = {
@@ -167,7 +152,7 @@ def cmd_theorem_main(args, cfg):
         else:
             raise ValueError("theorem-main needs n = 2 or n = 3")
     a_max = args.a_max if args.a_max is not None else 2 * (cfg.p - 1)
-    table = obstruction_table(cfg, case, a_max)
+    table = chern.obstruction_table(cfg, case, a_max)
     contract = all(in_d == (a % (cfg.p - 1) == 0) for a, in_d in table)
     payload = {
         "p": cfg.p,
@@ -176,7 +161,8 @@ def cmd_theorem_main(args, cfg):
         "rows": [{"a": a, "in_D": in_d} for a, in_d in table],
         "contract_holds": contract,
     }
-    lines = [f"powers of the degree-{moore_class(cfg).degree()} class vs D_{cfg.n}"]
+    e_degree = invariants.moore_class(cfg).degree()
+    lines = [f"powers of the degree-{e_degree} class vs D_{cfg.n}"]
     for a, in_d in table:
         expected = a % (cfg.p - 1) == 0
         mark = "ok" if in_d == expected else "UNEXPECTED"
@@ -193,9 +179,9 @@ def cmd_theorem_main(args, cfg):
 
 
 def cmd_chern_reg(args, cfg):
-    creg = total_chern(regular_representation(cfg))
-    ds = dickson_classes(cfg)
-    expected = ExtClass.one(cfg)
+    creg = chern.total_chern(chern.regular_representation(cfg))
+    ds = invariants.dickson_classes(cfg)
+    expected = algebra.ExtClass.one(cfg)
     for idx, ci in enumerate(ds.c):
         expected = expected + ci.scale((-1) ** (idx + 1))
     match = creg == expected
@@ -218,27 +204,30 @@ def cmd_chern_reg(args, cfg):
 
 def _load_weights(args, cfg):
     with open(args.weights, encoding="utf-8") as fh:
-        return WeightMultiset.parse(fh.read(), cfg)
+        return chern.WeightMultiset.parse(fh.read(), cfg)
 
 
 def cmd_chern_rep(args, cfg):
     rho = _load_weights(args, cfg)
-    c = total_chern(rho)
+    c = chern.total_chern(rho)
     payload = {
         "p": cfg.p,
         "n": cfg.n,
         "dimension": rho.dimension,
-        "class": class_to_json(c),
+        "class": exprio.class_to_json(c),
     }
-    lines = [f"dimension {rho.dimension}", f"total Chern class: {render_class(c)}"]
+    lines = [
+        f"dimension {rho.dimension}",
+        f"total Chern class: {exprio.render_class(c)}",
+    ]
     return 0, payload, lines
 
 
 def cmd_mu(args, cfg):
     rho = _load_weights(args, cfg)
-    chern = total_chern(rho)
-    profile = divisibility_profile(chern)
-    a = power_of_regular(chern)
+    c = chern.total_chern(rho)
+    profile = chern.divisibility_profile(c)
+    a = chern.power_of_regular(c)
     payload = {
         "p": cfg.p,
         "n": cfg.n,
@@ -257,33 +246,34 @@ def cmd_mu(args, cfg):
 def cmd_prop_iso(args, cfg):
     if cfg.n == 2:
         d = 2
-        expected = ExtClass.dt_top(cfg)
+        expected = algebra.ExtClass.dt_top(cfg)
     elif cfg.n == 3:
         d = 4
-        expected = milnor_q(0, ExtClass.dt_top(cfg))
+        expected = steenrod.milnor_q(0, algebra.ExtClass.dt_top(cfg))
     else:
         raise ValueError("prop-iso is defined for n = 2 or n = 3")
-    dim, basis = invariant_dimension(cfg, d, group_generators(cfg, "SL"))
+    sl = invariants.group_generators(cfg, "SL")
+    dim, basis = invariants.invariant_dimension(cfg, d, sl)
     ok = dim == 1 and basis[0] == expected
     payload = {
         "p": cfg.p,
         "n": cfg.n,
         "d": d,
         "dim": dim,
-        "basis": [class_to_json(b) for b in basis],
+        "basis": [exprio.class_to_json(b) for b in basis],
         "match": ok,
     }
     lines = [f"SL-invariants of degree {d}: dimension {dim}"]
-    lines += [f"basis: {render_class(b)}" for b in basis]
+    lines += [f"basis: {exprio.render_class(b)}" for b in basis]
     lines.append(
         f"matches the expected one-dimensional space spanned by "
-        f"{render_class(expected)}: {'yes' if ok else 'NO'}"
+        f"{exprio.render_class(expected)}: {'yes' if ok else 'NO'}"
     )
     return (0 if ok else 1), payload, lines
 
 
 def cmd_e8_adjoint(args, cfg):
-    report = e8_adjoint_check(args.p, args.trunc)
+    report = torus.e8_adjoint_check(args.p, args.trunc)
     lines = [
         f"Chern series: {report['series']}",
         f"c2 = {report['c2']}",
@@ -297,85 +287,96 @@ def cmd_e8_adjoint(args, cfg):
     return 0, report, lines
 
 
-def build_parser():
+GROUP = ("--group", {"required": True, "choices": ["sl", "gl"]})
+EXPR = ("--expr", {"required": True})
+WEIGHTS = ("--weights", {"required": True, "metavar": "FILE"})
+
+# name -> (help, handler, arguments after the common ones), in help order
+SUBCOMMANDS = {
+    "dickson": ("Dickson classes e, c_{n,i} with degrees", cmd_dickson, []),
+    "moore": ("e_n as the Moore determinant", cmd_moore, []),
+    "apply": (
+        "apply an operation word to an expression",
+        cmd_apply,
+        [
+            (
+                "--ops",
+                {"required": True, "help": "comma-separated word, e.g. Q0,Q1,P2"},
+            ),
+            ("--expr", {"required": True, "help": "algebra class expression"}),
+        ],
+    ),
+    "invariance": (
+        "test invariance under SL or GL generators",
+        cmd_invariance,
+        [GROUP, EXPR],
+    ),
+    "membership": (
+        "decompose over the D or SD generators",
+        cmd_membership,
+        [("--ring", {"required": True, "choices": ["d", "sd"]}), EXPR],
+    ),
+    "orbit": (
+        "orbit size of a weight vector",
+        cmd_orbit,
+        [GROUP, ("--start", {"required": True, "help": "comma-separated residues"})],
+    ),
+    "hilbert": (
+        "invariant dimensions vs free-module prediction",
+        cmd_hilbert,
+        [
+            GROUP,
+            ("--max-degree", {"dest": "max_degree", "type": int, "required": True}),
+        ],
+    ),
+    "theorem-main": (
+        "powers of e_n against D_n membership",
+        cmd_theorem_main,
+        [
+            ("--case", {"choices": ["pu", "rank3"]}),
+            ("--a-max", {"dest": "a_max", "type": int}),
+        ],
+    ),
+    "chern-reg": ("c(reg) vs the alternating Dickson sum", cmd_chern_reg, []),
+    "chern-rep": ("total Chern class of a weights file", cmd_chern_rep, [WEIGHTS]),
+    "mu": ("divisibility profile of a weights file", cmd_mu, [WEIGHTS]),
+    "prop-iso": ("low-degree SL-invariant bases", cmd_prop_iso, []),
+    "e8-adjoint": (
+        "restricted rank-248 Chern series report",
+        cmd_e8_adjoint,
+        [("--trunc", {"type": int, "default": 4})],
+    ),
+}
+
+
+def build_parser(argv=None):
+    """The parser, with only the subcommand that argv starts with, if any.
+
+    Building all the subparsers is a noticeable part of a short call.  Once
+    argv[0] is a subcommand, argparse hands the rest of argv to that
+    subparser alone, so the others could not take part in the parse.  Any
+    other argv (help, an unknown command, a leading option, or none) gets
+    every subcommand, so help lists them all and errors name every choice.
+    """
     parser = argparse.ArgumentParser(
         prog="milnorq",
         description="exact verifications in modular invariant theory and Chern classes",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    s = sub.add_parser("dickson", help="Dickson classes e, c_{n,i} with degrees")
-    _add_common(s)
-    s.set_defaults(handler=cmd_dickson)
-
-    s = sub.add_parser("moore", help="e_n as the Moore determinant")
-    _add_common(s)
-    s.set_defaults(handler=cmd_moore)
-
-    s = sub.add_parser("apply", help="apply an operation word to an expression")
-    _add_common(s)
-    s.add_argument("--ops", required=True, help="comma-separated word, e.g. Q0,Q1,P2")
-    s.add_argument("--expr", required=True, help="algebra class expression")
-    s.set_defaults(handler=cmd_apply)
-
-    s = sub.add_parser("invariance", help="test invariance under SL or GL generators")
-    _add_common(s)
-    s.add_argument("--group", required=True, choices=["sl", "gl"])
-    s.add_argument("--expr", required=True)
-    s.set_defaults(handler=cmd_invariance)
-
-    s = sub.add_parser("membership", help="decompose over the D or SD generators")
-    _add_common(s)
-    s.add_argument("--ring", required=True, choices=["d", "sd"])
-    s.add_argument("--expr", required=True)
-    s.set_defaults(handler=cmd_membership)
-
-    s = sub.add_parser("orbit", help="orbit size of a weight vector")
-    _add_common(s)
-    s.add_argument("--group", required=True, choices=["sl", "gl"])
-    s.add_argument("--start", required=True, help="comma-separated residues")
-    s.set_defaults(handler=cmd_orbit)
-
-    s = sub.add_parser("hilbert", help="invariant dimensions vs free-module prediction")
-    _add_common(s)
-    s.add_argument("--group", required=True, choices=["sl", "gl"])
-    s.add_argument("--max-degree", dest="max_degree", type=int, required=True)
-    s.set_defaults(handler=cmd_hilbert)
-
-    s = sub.add_parser("theorem-main", help="powers of e_n against D_n membership")
-    _add_common(s)
-    s.add_argument("--case", choices=["pu", "rank3"])
-    s.add_argument("--a-max", dest="a_max", type=int)
-    s.set_defaults(handler=cmd_theorem_main)
-
-    s = sub.add_parser("chern-reg", help="c(reg) vs the alternating Dickson sum")
-    _add_common(s)
-    s.set_defaults(handler=cmd_chern_reg)
-
-    s = sub.add_parser("chern-rep", help="total Chern class of a weights file")
-    _add_common(s)
-    s.add_argument("--weights", required=True, metavar="FILE")
-    s.set_defaults(handler=cmd_chern_rep)
-
-    s = sub.add_parser("mu", help="divisibility profile of a weights file")
-    _add_common(s)
-    s.add_argument("--weights", required=True, metavar="FILE")
-    s.set_defaults(handler=cmd_mu)
-
-    s = sub.add_parser("prop-iso", help="low-degree SL-invariant bases")
-    _add_common(s)
-    s.set_defaults(handler=cmd_prop_iso)
-
-    s = sub.add_parser("e8-adjoint", help="restricted rank-248 Chern series report")
-    _add_common(s, with_n=False)
-    s.add_argument("--trunc", type=int, default=4)
-    s.set_defaults(handler=cmd_e8_adjoint)
-
+    names = argv[:1] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS
+    for name in names:
+        help_text, handler, arguments = SUBCOMMANDS[name]
+        s = sub.add_parser(name, help=help_text)
+        _add_common(s, with_n=name != "e8-adjoint")
+        for flag, keywords in arguments:
+            s.add_argument(flag, **keywords)
+        s.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -385,7 +386,7 @@ def main(argv=None):
         return 2
     try:
         # every subcommand but e8-adjoint takes -n and works in one Config
-        cfg = Config(args.p, args.n) if "n" in args else None
+        cfg = algebra.Config(args.p, args.n) if "n" in args else None
         code, payload, lines = args.handler(args, cfg)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -399,7 +400,12 @@ def main(argv=None):
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1
-    text = json.dumps(payload) if args.json else "\n".join(lines)
+    if args.json:
+        import json
+
+        text = json.dumps(payload)
+    else:
+        text = "\n".join(lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

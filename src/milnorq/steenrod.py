@@ -118,10 +118,6 @@ def parse_op_word(text):
     return word
 
 
-def render_op_word(word):
-    return ",".join(f"{kind}{idx}" for kind, idx in word)
-
-
 def apply_word(word, x):
     """Apply an operation word right-to-left (written composition order)."""
     for kind, idx in reversed(list(word)):

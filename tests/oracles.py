@@ -31,6 +31,9 @@
   layers by 1 + t_1 one quotient at a time, where
   chern.divisibility_profile reads the exponent from the Taylor
   coefficients of the layers at t_1 = -1.
+- Divisibility profiles: divisibility_profile_per_vector substitutes x once
+  for every nonzero v, where chern.divisibility_profile substitutes once per
+  line through 0 and reads lam*v from v's layers rescaled.
 """
 
 import itertools
@@ -40,6 +43,7 @@ import numpy as np
 
 from milnorq.algebra import _SIGN, ExtClass, LinearSubst, _bits, _perm_sign, substitute_linear
 from milnorq.backend import add_into, poly_mul, poly_pow
+from milnorq.chern import _coordinate_change
 from milnorq.invariants import (
     GroupSpec,
     _compositions,
@@ -294,3 +298,32 @@ def divide_once(layers, p):
         carry = coeff
     remainder = add_into(dict(layers.get(0, {})), carry, -1, p)
     return quotient, remainder
+
+
+def divisibility_profile_per_vector(x):
+    """For each nonzero v, the power of (1 + v) dividing the unital x.
+
+    One coordinate change carrying v to t_1 per vector, then the least j
+    with a nonzero Taylor coefficient b_j of the layers at t_1 = -1.
+    """
+    cfg = x.cfg
+    p = cfg.p
+    profile = {}
+    for v in itertools.product(range(p), repeat=cfg.n):
+        if not any(v):
+            continue
+        layers = {}
+        for mono, c in substitute_linear(_coordinate_change(cfg, v), x).parts[0].items():
+            layers.setdefault(mono[0], {})[mono[1:]] = c
+        mu = 0
+        while True:
+            taylor = {}
+            for i, a in layers.items():
+                c = math.comb(i, mu) % p
+                if c:
+                    add_into(taylor, a, (-1) ** (i - mu) * c, p)
+            if taylor:
+                break
+            mu += 1
+        profile[v] = mu
+    return profile

@@ -26,7 +26,12 @@ from milnorq import (
 from milnorq import chern
 from milnorq.chern import WeightMultiset, _coordinate_change
 from conftest import random_subst
-from oracles import divide_once, strip_first_var, total_chern_sequential
+from oracles import (
+    divide_once,
+    divisibility_profile_per_vector,
+    strip_first_var,
+    total_chern_sequential,
+)
 
 
 def random_multiset(rng, cfg, max_weights=4, max_mult=3, nonzero=False):
@@ -234,6 +239,15 @@ class TestDivisibilityProfile:
                 profile = divisibility_profile(total_chern(rho))
                 for v, mu in profile.items():
                     assert mu == rho.weights.get(v, 0)
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (3, 3)])
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_one_substitution_per_line_matches_one_per_vector(self, p, n, data):
+        a = data.draw(st.integers(0, 1))
+        x = total_chern(data.draw(split_multisets(Config(p, n), a)))
+        want = divisibility_profile_per_vector(x)
+        assert list(divisibility_profile(x).items()) == list(want.items())
 
     def test_resource_guard(self, monkeypatch):
         # the profile visits all p^n vectors: 97^4 must be refused at once

@@ -1,9 +1,11 @@
+import argparse
 import json
+import re
 
 import pytest
 
 from milnorq import chern, invariants
-from milnorq.cli import main
+from milnorq.cli import build_parser, main
 
 
 def run(capsys, argv):
@@ -278,6 +280,33 @@ EVERY_SUBCOMMAND = [
     ["prop-iso", "-p", "3", "-n", "2"],
     ["e8-adjoint", "-p", "5"],
 ]
+
+
+def subcommands(parser):
+    (action,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return list(action.choices)
+
+
+class TestParser:
+    EVERY = [call[0] for call in EVERY_SUBCOMMAND]
+
+    def test_holds_only_the_subcommand_argv_starts_with(self):
+        for call in EVERY_SUBCOMMAND:
+            assert subcommands(build_parser(call)) == call[:1]
+            assert subcommands(build_parser(call[:1])) == call[:1]
+
+    @pytest.mark.parametrize(
+        "argv", [None, [], ["--help"], ["-h", "mu"], ["frobnicate"], ["--json", "mu"]]
+    )
+    def test_holds_every_subcommand_otherwise(self, argv):
+        assert subcommands(build_parser(argv)) == self.EVERY
+
+    def test_help_lists_every_subcommand(self, capsys):
+        code, out, _ = run(capsys, ["--help"])
+        assert code == 0
+        assert re.findall(r"^    (\S+)", out, re.M) == self.EVERY
 
 
 class TestOutputContract:

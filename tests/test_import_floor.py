@@ -1,20 +1,39 @@
-"""No call of the package loads numpy.
+"""No call of the package loads numpy, and each runs only what it uses.
 
 The import, the kernel products however large, membership by subduction,
 the sparse solvers of linalg and the invariant dimensions of hilbert and
-prop-iso, and the other CLI calls all leave it unloaded.  Each check runs
-in a fresh interpreter: this test process already holds numpy
-(tests/oracles.py imports it), so sys.modules here says nothing.
+prop-iso, and the other CLI calls all leave numpy unloaded.  The library
+modules sit in sys.modules from the import on but run on first use, so
+a CLI call runs only the modules of its subcommand, and the benchmark's
+tracer, which wraps what it finds in sys.modules, still sees every
+function.  Each check runs in a fresh interpreter: this test process
+already holds numpy (tests/oracles.py imports it) and every module, so
+sys.modules here says nothing.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import milnorq
 
 SRC = str(Path(milnorq.__file__).resolve().parent.parent)
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+LIBRARY = {
+    "algebra",
+    "backend",
+    "chern",
+    "errors",
+    "exprio",
+    "invariants",
+    "linalg",
+    "steenrod",
+    "torus",
+}
 
 IMPORT = """
 import sys
@@ -83,11 +102,71 @@ assert "numpy" not in sys.modules, "linalg solvers"
 """
 
 
-def run_fresh(code):
+# the library modules that have run: a lazy one is not yet a plain module
+RAN = """
+import contextlib, io, sys, types
+import milnorq.cli
+
+def ran():
+    return {
+        name.rpartition(".")[2]
+        for name, module in sys.modules.items()
+        if name.startswith("milnorq.") and type(module) is types.ModuleType
+    } - {"cli"}
+
+def quiet(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert milnorq.cli.main(argv) == 0, argv
+"""
+
+LAZY_IMPORT = RAN + """
+assert ran() == {"errors"}, ran()
+assert {name for name in sys.modules if name.startswith("milnorq.")} == {
+    "milnorq.cli", *("milnorq." + m for m in %r)
+}
+assert "json" not in sys.modules
+""" % sorted(LIBRARY)
+
+LAZY_APPLY = RAN + """
+quiet(["apply", "-p", "5", "-n", "2", "--ops", "Q0,P1", "--expr", "t1*dt2", "--json"])
+assert not ran() & {"chern", "torus", "invariants", "linalg"}, ran()
+"""
+
+LAZY_E8 = RAN + """
+quiet(["e8-adjoint", "-p", "3"])
+assert ran() == {"torus", "errors"}, ran()
+"""
+
+STAR = """
+import milnorq
+assert set(milnorq.__all__) <= set(dir(milnorq))
+names = {}
+exec("from milnorq import *", names)
+assert set(milnorq.__all__) <= set(names)
+assert names["Config"] is milnorq.algebra.Config
+assert names["e8_adjoint_check"] is milnorq.torus.e8_adjoint_check
+try:
+    milnorq.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("milnorq.no_such_name resolved")
+"""
+
+
+def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_fresh(code):
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
 
@@ -104,3 +183,39 @@ def test_large_product_leaves_numpy_unloaded():
 
 def test_solvers_leave_numpy_unloaded():
     run_fresh(SOLVERS)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [LAZY_IMPORT, LAZY_APPLY, LAZY_E8, STAR],
+    ids=["import", "apply", "e8-adjoint", "star-import"],
+)
+def test_calls_run_only_the_modules_they_use(code):
+    run_fresh(code)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chern-reg", "-p", "3", "-n", "2"],
+        ["apply", "-p", "5", "-n", "2", "--ops", "Q0,P1", "--expr", "t1*dt2"],
+        ["e8-adjoint", "-p", "3"],
+    ],
+    ids=["chern-reg", "apply", "e8-adjoint"],
+)
+def test_the_tracer_finds_every_function(argv):
+    def call(*cmd):
+        return subprocess.run(
+            [sys.executable, *cmd, *argv],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    plain = call("-m", "milnorq.cli")
+    traced = call(str(TRACER))
+    assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout)
+    prefix, _, trace = traced.stderr.strip().splitlines()[-1].partition(" ")
+    assert prefix == "perfbench-trace"
+    assert json.loads(trace)["missing"] == []

