@@ -45,7 +45,7 @@ class Config(namedtuple("Config", "p n")):
     """Ambient parameters: an odd prime p and the rank n of the group.
 
     A named tuple, so immutable and compared and hashed as the tuple
-    (p, n), as it keys the per-config caches: Config(3, 2) == (3, 2).
+    (p, n), as it keys the Dickson cache: Config(3, 2) == (3, 2).
     Construction checks both ranges.
     """
 
@@ -181,16 +181,6 @@ class ExtClass:
         if not isinstance(other, ExtClass):
             return NotImplemented
         return self.cfg == other.cfg and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(
-            (
-                self.cfg,
-                frozenset(
-                    (mask, frozenset(poly.items())) for mask, poly in self.parts.items()
-                ),
-            )
-        )
 
     def iter_terms(self):
         """Yield (mask, mono, coeff) in canonical order."""

@@ -231,7 +231,7 @@ def _order_at_minus_one(layers, lam_inv, p):
         mu += 1
 
 
-def divisibility_profile(x, cfg=None):
+def divisibility_profile(x):
     """For each nonzero v, the exact power of (1 + v) dividing x.
 
     x must be a polynomial class with constant term 1.  A coordinate change
@@ -244,7 +244,7 @@ def divisibility_profile(x, cfg=None):
     first nonzero entry is 1, and lam*v reads layer i scaled by lam^(-i).
     The loop visits all p^n vectors, so it takes the desk-scale check first.
     """
-    cfg = x.cfg if cfg is None else cfg
+    cfg = x.cfg
     _guard_points(cfg)
     _require_unital_poly(x)
     p, n = cfg.p, cfg.n
@@ -261,10 +261,10 @@ def divisibility_profile(x, cfg=None):
     return dict(sorted(profile.items()))  # the order of itertools.product
 
 
-def power_of_regular(x, cfg=None):
+def power_of_regular(x):
     """The exponent a with x == total_chern(reg)^a exactly, or None."""
     _require_unital_poly(x)
-    cfg = x.cfg if cfg is None else cfg
+    cfg = x.cfg
     if x == ExtClass.one(cfg):
         return 0
     reg_degree = 2 * (cfg.p**cfg.n - 1)

@@ -65,7 +65,7 @@ def cmd_apply(args, cfg):
 def cmd_invariance(args, cfg):
     group = invariants.group_generators(cfg, args.group)
     inv = invariants.is_invariant(exprio.parse_class(args.expr, cfg), group)
-    payload = {"p": cfg.p, "n": cfg.n, "group": group.kind, "invariant": inv}
+    payload = {"group": group.kind, "invariant": inv}
     lines = [f"invariant under {_group_name(cfg, args.group)}: {'yes' if inv else 'no'}"]
     return 0, payload, lines
 
@@ -75,8 +75,6 @@ def cmd_membership(args, cfg):
     dec = invariants.membership_dickson(exprio.parse_class(args.expr, cfg), ring)
     names = list(invariants._generator_degrees(cfg, ring))
     payload = {
-        "p": cfg.p,
-        "n": cfg.n,
         "ring": ring,
         "generators": names,
         "member": dec is not None,
@@ -101,8 +99,6 @@ def cmd_orbit(args, cfg):
     group = invariants.group_generators(cfg, args.group)
     size = invariants.orbit_size(cfg, group, start)
     payload = {
-        "p": cfg.p,
-        "n": cfg.n,
         "group": args.group.upper(),
         "start": list(start),
         "orbit_size": size,
@@ -124,8 +120,6 @@ def cmd_hilbert(args, cfg):
         rows.append({"d": d, "computed": dim, "predicted": pred, "match": dim == pred})
     ok = all(row["match"] for row in rows)
     payload = {
-        "p": cfg.p,
-        "n": cfg.n,
         "group": group.kind,
         "ring": ring,
         "rows": rows,
@@ -155,8 +149,6 @@ def cmd_theorem_main(args, cfg):
     table = chern.obstruction_table(cfg, case, a_max)
     contract = all(in_d == (a % (cfg.p - 1) == 0) for a, in_d in table)
     payload = {
-        "p": cfg.p,
-        "n": cfg.n,
         "case": case,
         "rows": [{"a": a, "in_D": in_d} for a, in_d in table],
         "contract_holds": contract,
@@ -187,8 +179,6 @@ def cmd_chern_reg(args, cfg):
     match = creg == expected
     nterms = sum(len(poly) for poly in creg.parts.values())
     payload = {
-        "p": cfg.p,
-        "n": cfg.n,
         "dimension": cfg.p**cfg.n,
         "terms": nterms,
         "match": match,
@@ -211,8 +201,6 @@ def cmd_chern_rep(args, cfg):
     rho = _load_weights(args, cfg)
     c = chern.total_chern(rho)
     payload = {
-        "p": cfg.p,
-        "n": cfg.n,
         "dimension": rho.dimension,
         "class": exprio.class_to_json(c),
     }
@@ -229,8 +217,6 @@ def cmd_mu(args, cfg):
     profile = chern.divisibility_profile(c)
     a = chern.power_of_regular(c)
     payload = {
-        "p": cfg.p,
-        "n": cfg.n,
         "profile": [{"weight": list(v), "mu": m} for v, m in sorted(profile.items())],
         "power_of_regular": a,
     }
@@ -256,8 +242,6 @@ def cmd_prop_iso(args, cfg):
     dim, basis = invariants.invariant_dimension(cfg, d, sl)
     ok = dim == 1 and basis[0] == expected
     payload = {
-        "p": cfg.p,
-        "n": cfg.n,
         "d": d,
         "dim": dim,
         "basis": [exprio.class_to_json(b) for b in basis],
@@ -400,6 +384,8 @@ def main(argv=None):
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1
+    if cfg is not None:  # every report in one Config leads with its p and n
+        payload = {"p": cfg.p, "n": cfg.n, **payload}
     if args.json:
         import json
 

@@ -20,14 +20,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .algebra import (
-    Config,
-    ExtClass,
-    LinearSubst,
-    _perm_sign,
-    _term_sort_key,
-    substitute_linear,
-)
+from .algebra import Config, ExtClass, LinearSubst, _perm_sign, substitute_linear
 from .backend import add_into, frobenius, poly_mul, poly_pow
 from .errors import ConsistencyError, guard
 from .linalg import Matrix, kernel_basis
@@ -38,7 +31,7 @@ INVARIANT_MATRIX_BYTES = 1 << 30  # bound on the grade-solver estimate, see belo
 GRADE_PEAK_FACTOR = 4  # dense-solver peak / (8 x G^2) was 3.0-3.5, kept as a bound
 MEMBERSHIP_ROW_BYTES = 256  # dense-solver peak per monomial row, kept as a bound
 MEMBERSHIP_CELL_BYTES = 96  # and per (monomial, candidate) cell
-CACHE_ENTRIES = 16  # least recently used entries kept by the per-config caches
+CACHE_ENTRIES = 16  # least recently used entries kept by the Dickson cache
 
 
 def _guard_points(cfg):
@@ -200,16 +193,9 @@ def group_generators(cfg, kind):
     These generate SL_n(Z), which maps onto SL_n(F_p) (Steinberg, Lectures
     on Chevalley Groups), so invariants and orbits are those of the whole
     group.  C and the diagonal are monomial matrices and act by reindexing
-    terms; E_12(1) is the one shear.
-
-    kind is read without regard to case, and "gl" and "GL" share one cache
-    entry.
+    terms; E_12(1) is the one shear.  kind is read without regard to case.
     """
-    return _group_spec(cfg, kind.upper())
-
-
-@lru_cache(maxsize=CACHE_ENTRIES)
-def _group_spec(cfg, kind):
+    kind = kind.upper()
     if kind not in ("SL", "GL"):
         raise ValueError(f"unknown group kind {kind!r}")
     p, n = cfg.p, cfg.n
@@ -223,11 +209,6 @@ def _group_spec(cfg, kind):
     if n >= 2:
         gens.append(LinearSubst.transvection(cfg, 1, 2))
     return GroupSpec(kind, cfg, tuple(gens))
-
-
-# cache_info() counts the one cache; __wrapped__ builds the group uncached
-group_generators.cache_info = _group_spec.cache_info
-group_generators.__wrapped__ = lambda cfg, kind: _group_spec.__wrapped__(cfg, kind.upper())
 
 
 def is_invariant(x, group):
@@ -245,33 +226,41 @@ def monomials(n, total):
             yield (first,) + rest
 
 
-def degree_basis(cfg, d):
-    """Canonically ordered monomial basis of the degree-d piece."""
-    basis = []
-    for mask in range(1 << cfg.n):
-        r = mask.bit_count()
-        if r > d or (d - r) % 2:
-            continue
-        m = (d - r) // 2
-        for mono in monomials(cfg.n, m):
-            basis.append((mask, mono))
-    basis.sort(key=lambda b: _term_sort_key(b[0], b[1]))
-    return basis
+def _grades(cfg, d):
+    """The exterior grades of the degree-d piece, fewest dt factors first.
 
-
-def grade_sizes(cfg, d):
-    """Sizes of the exterior grades of degree_basis(cfg, d), in basis order.
-
-    A grade is the run of basis elements with the same number of dt
-    factors; the basis lists the grades from the fewest dt factors up.
-    Counted by binomials, without building the basis.
+    The grade with r dt factors is (masks, m): masks lists the r-element
+    subsets of dt_1..dt_n in ascending order, and each pairs with every
+    monomial of degree m = (d - r) / 2.
     """
     n = cfg.n
     return [
-        math.comb(n, r) * math.comb((d - r) // 2 + n - 1, n - 1)
+        ([mask for mask in range(1 << n) if mask.bit_count() == r], (d - r) // 2)
         for r in range(min(n, d) + 1)
         if (d - r) % 2 == 0
     ]
+
+
+def degree_basis(cfg, d):
+    """Canonically ordered monomial basis of the degree-d piece.
+
+    At one degree the canonical order of ExtClass.iter_terms lists the
+    grades from the fewest dt factors up, each by monomial, in descending
+    lex order with t_1 first as monomials() yields them, and then by mask.
+    """
+    return [
+        (mask, mono)
+        for masks, m in _grades(cfg, d)
+        for mono in monomials(cfg.n, m)
+        for mask in masks
+    ]
+
+
+def grade_sizes(cfg, d):
+    """Sizes of the exterior grades of degree_basis(cfg, d), in basis order,
+    counted by binomials without listing any monomial."""
+    n = cfg.n
+    return [len(masks) * math.comb(m + n - 1, n - 1) for masks, m in _grades(cfg, d)]
 
 
 def _generator_degrees(cfg, ring):
@@ -475,33 +464,30 @@ def check_invariant_matrix_bytes(cfg, d):
     )
 
 
-def _grade_class(cfg, grade, vec):
-    """The class with coordinates vec, a {index: value} dict, on the basis
-    elements of grade."""
+def _grade_class(cfg, vec):
+    """The class with coordinates vec, a {(mask, mono): value} dict."""
     parts = {}
-    for i, c in vec.items():
-        mask, mono = grade[i]
+    for (mask, mono), c in vec.items():
         parts.setdefault(mask, {})[mono] = c
     return ExtClass(cfg, parts)
 
 
-def _moved(cfg, g, grade, kern):
+def _moved(cfg, g, kern):
     """The matrix whose column j is g.v - v mod p, for v the j-th row of kern.
 
-    Each g.v - v is a {index: value} dict on the coordinates of grade; the
-    matrix holds one row per coordinate that some column reaches.
+    Each g.v - v is a {(mask, mono): value} dict; the matrix holds one row
+    per basis element that some column reaches.
     """
     p = cfg.p
-    index = {b: i for i, b in enumerate(grade)}
     rows = {}
     for j, vec in enumerate(kern):
         moved = {
-            index[(mask, mono)]: c
-            for mask, poly in substitute_linear(g, _grade_class(cfg, grade, vec)).parts.items()
+            (mask, mono): c
+            for mask, poly in substitute_linear(g, _grade_class(cfg, vec)).parts.items()
             for mono, c in poly.items()
         }
-        for i, c in add_into(moved, vec, -1, p).items():
-            rows.setdefault(i, {})[j] = c
+        for key, c in add_into(moved, vec, -1, p).items():
+            rows.setdefault(key, {})[j] = c
     return Matrix(list(rows.values()), len(kern))
 
 
@@ -512,7 +498,7 @@ def invariant_dimension(cfg, d, group):
     acting on the degree-d piece of the full algebra.  Substitution keeps
     the number of dt factors, so each exterior grade is solved on its own.
     Within a grade the kernels are intersected one generator at a time:
-    the rows of K, {index: value} dicts, span the invariants of the
+    the rows of K, {(mask, mono): value} dicts, span the invariants of the
     generators so far (the unit rows of the grade to start with); for the
     next generator g, the kernel of v -> g.v - v on the row space of K gives
     the combinations of rows of K to keep.  group_generators lists the
@@ -520,22 +506,18 @@ def invariant_dimension(cfg, d, group):
     each g.v - v then only moves and scales coordinates, and K shrinks
     before the one shear E_12(1) is expanded on it.  A grade stops as soon
     as K is empty, without building the matrices of the remaining
-    generators.  K
-    stays in reduced echelon form, and the grades sit on disjoint, ordered
-    coordinates, so together they give the reduced echelon basis of the
-    whole kernel.
+    generators.  K stays in reduced echelon form on the coordinates of its
+    grade, listed in the order of degree_basis, and the grades sit on
+    disjoint, ordered coordinates, so together they give the reduced
+    echelon basis of the whole kernel.
     """
     check_invariant_matrix_bytes(cfg, d)
     p = cfg.p
-    basis = degree_basis(cfg, d)
     classes = []
-    # degree_basis sorts by -sum(mono) before the mask, so at a fixed degree
-    # each grade is one contiguous run of the basis
-    for _, run in itertools.groupby(basis, key=lambda b: sum(b[1])):
-        grade = list(run)
-        kern = [{i: 1} for i in range(len(grade))]
+    for masks, m in _grades(cfg, d):
+        kern = [{(mask, mono): 1} for mono in monomials(cfg.n, m) for mask in masks]
         for g in group.generators:
-            combos = kernel_basis(_moved(cfg, g, grade, kern), p)
+            combos = kernel_basis(_moved(cfg, g, kern), p)
             if not combos:
                 break
             # kernel_basis returns reduced echelon rows, and a product of
@@ -543,12 +525,12 @@ def invariant_dimension(cfg, d, group):
             # kern stays the canonical basis of its row space
             kern = [_combine(combo, kern, p) for combo in combos]
         else:
-            classes += [_grade_class(cfg, grade, vec) for vec in kern]
+            classes += [_grade_class(cfg, vec) for vec in kern]
     return len(classes), classes
 
 
 def _combine(combo, kern, p):
-    """sum_j combo[j] * kern[j] mod p, as a {index: value} dict."""
+    """sum_j combo[j] * kern[j] mod p, as a {(mask, mono): value} dict."""
     out = {}
     for j, c in combo.items():
         add_into(out, kern[j], c, p)

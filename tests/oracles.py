@@ -8,9 +8,13 @@
   return a sparse polynomial of milnorq.backend keyed (e_X, e_1, ..., e_n).
 - Row reduction mod p: rref_dense rewrites the whole dense numpy matrix
   at every pivot, where linalg.rref eliminates sparse rows one at a time.
+- Degree bases: degree_basis_sorted sorts every (mask, monomial) pair of
+  the degree by the canonical term order, where invariants.degree_basis
+  lists the exterior grades one after another, each already in order.
 - Invariants: invariant_dimension_stacked solves one stacked system of all
-  (g - id) blocks over the whole degree, where invariant_dimension works one
-  exterior grade and one generator at a time.
+  (g - id) blocks over the sorted basis of the whole degree, where
+  invariant_dimension works one exterior grade and one generator at a
+  time.
 - Total Chern classes: total_chern_sequential multiplies the factors
   (1 + v)^m into one running product in weight order, where
   chern.total_chern splits off a*reg and builds c(reg) by a coset tree.
@@ -41,7 +45,15 @@ import math
 
 import numpy as np
 
-from milnorq.algebra import _SIGN, ExtClass, LinearSubst, _bits, _perm_sign, substitute_linear
+from milnorq.algebra import (
+    _SIGN,
+    ExtClass,
+    LinearSubst,
+    _bits,
+    _perm_sign,
+    _term_sort_key,
+    substitute_linear,
+)
 from milnorq.backend import add_into, poly_mul, poly_pow
 from milnorq.chern import _coordinate_change
 from milnorq.invariants import (
@@ -49,7 +61,6 @@ from milnorq.invariants import (
     _compositions,
     _generator_degrees,
     _guard_points,
-    degree_basis,
     monomials,
     primitive_root,
     ring_generators,
@@ -204,9 +215,24 @@ def kernel_basis_dense(matrix, p):
     return [row for row in echelon if row.any()]
 
 
+def degree_basis_sorted(cfg, d):
+    """invariants.degree_basis as every (mask, monomial) pair of degree d,
+    sorted by the canonical term order."""
+    basis = []
+    for mask in range(1 << cfg.n):
+        r = mask.bit_count()
+        if r > d or (d - r) % 2:
+            continue
+        m = (d - r) // 2
+        for mono in monomials(cfg.n, m):
+            basis.append((mask, mono))
+    basis.sort(key=lambda b: _term_sort_key(b[0], b[1]))
+    return basis
+
+
 def invariant_dimension_stacked(cfg, d, group):
     """invariant_dimension as the kernel of all dense (g - id) blocks stacked."""
-    basis = degree_basis(cfg, d)
+    basis = degree_basis_sorted(cfg, d)
     if not basis:
         return 0, []
     if not group.generators:

@@ -119,6 +119,11 @@ class TestExteriorProduct:
                 assert x.parts == before
             assert x * 1 == x and (x * 1).parts is not x.parts
 
+    def test_classes_are_unhashable_like_their_dicts(self):
+        # a class is a mutable value: a hash of its parts would go stale
+        with pytest.raises(TypeError):
+            hash(ExtClass.one(Config(3, 2)))
+
     def test_scalar_and_power_arithmetic(self):
         cfg = Config(5, 2)
         t1 = ExtClass.t(cfg, 1)

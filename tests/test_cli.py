@@ -224,7 +224,7 @@ class TestExitCodes:
         def unreachable(*args):
             raise AssertionError("the guard let the call through")
 
-        monkeypatch.setattr(invariants, "degree_basis", unreachable)
+        monkeypatch.setattr(invariants, "monomials", unreachable)
         argv = ["hilbert", "-p", "97", "-n", "4", "--group", "sl", "--max-degree", "40"]
         code, out, err = run(capsys, argv)
         assert code == 2
@@ -250,7 +250,7 @@ class TestExitCodes:
         def unreachable(*args):
             raise AssertionError("a negative max degree reached the solver")
 
-        monkeypatch.setattr(invariants, "degree_basis", unreachable)
+        monkeypatch.setattr(invariants, "monomials", unreachable)
         argv = ["hilbert", "-p", "3", "-n", "2", "--group", "sl", "--max-degree", "-1"]
         code, out, err = run(capsys, argv + extra)
         assert code == 2
