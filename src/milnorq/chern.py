@@ -27,16 +27,12 @@ from __future__ import annotations
 import itertools
 import math
 
+# modules, not their functions: a module runs on its first use (see
+# milnorq/__init__.py), so a call that needs neither runs neither
+from . import invariants, steenrod
 from .algebra import ExtClass, LinearSubst, substitute_linear
 from .backend import add_into, poly_mul, poly_pow
 from .errors import ConsistencyError, guard
-from .invariants import (
-    _guard_points,
-    group_generators,
-    is_invariant,
-    moore_class,
-)
-from .steenrod import apply_word
 
 TABLE_WORK_BOUND = 20_000  # obstruction_table refuses a_max * p^n above this
 
@@ -132,7 +128,7 @@ class WeightMultiset:
 
 def regular_representation(cfg):
     """Every weight of V_n with multiplicity one (the zero weight included)."""
-    _guard_points(cfg)
+    invariants._guard_points(cfg)
     return WeightMultiset(
         cfg, {v: 1 for v in itertools.product(range(cfg.p), repeat=cfg.n)}
     )
@@ -245,7 +241,7 @@ def divisibility_profile(x):
     The loop visits all p^n vectors, so it takes the desk-scale check first.
     """
     cfg = x.cfg
-    _guard_points(cfg)
+    invariants._guard_points(cfg)
     _require_unital_poly(x)
     p, n = cfg.p, cfg.n
     profile = {}
@@ -292,10 +288,10 @@ def image_generator(cfg, case):
         word = [("Q", 1), ("Q", 2), ("Q", 0)]
     else:
         raise ValueError(f"unknown case {case!r}; expected 'pu' or 'rank3'")
-    x = apply_word(word, ExtClass.dt_top(cfg))
+    x = steenrod.apply_word(word, ExtClass.dt_top(cfg))
     if not x.is_polynomial():
         raise ConsistencyError("image generator is not a polynomial class")
-    if x != moore_class(cfg):
+    if x != invariants.moore_class(cfg):
         raise ConsistencyError("image generator disagrees with the Moore determinant")
     return x
 
@@ -315,10 +311,10 @@ def obstruction_table(cfg, case, a_max):
         f"a_max = {a_max} at p^n = {points} exceeds the desk scale",
     )
     e = image_generator(cfg, case)
-    gl = group_generators(cfg, "GL")
+    gl = invariants.group_generators(cfg, "GL")
     rows = []
     power = ExtClass.one(cfg)
     for a in range(1, a_max + 1):
         power = power * e
-        rows.append((a, is_invariant(power, gl)))
+        rows.append((a, invariants.is_invariant(power, gl)))
     return rows

@@ -2,11 +2,13 @@
 
 Grammar (whitespace insignificant)::
 
-    class   := term (("+"|"-") term)*
-    term    := [INT ("*")?]? factor ("*" factor)* | INT
-    factor  := "t" INDEX ("^" POSINT)? | "dt" INDEX
+    class   := ["+"|"-"] term (("+"|"-") term)*
+    term    := INT | [INT ["*"]] factor (["*"] factor)*
+    factor  := "t" INDEX ["^" POSINT] | "dt" INDEX
 
-A leading sign on the first term is accepted as part of its coefficient.
+Factors may be juxtaposed ("2t1", "t1 dt2"); a "*" stands only between a
+number or factor and the factor after it, so no term starts with "*".
+Only the first term may carry a sign, which joins its coefficient.
 Exterior factors may appear in any order (Koszul signs are applied), but a
 repeated dt index in one term is rejected as a likely user error, as is an
 explicit exponent on a dt factor.
@@ -24,134 +26,76 @@ import re
 from .algebra import Config, ExtClass, _perm_sign
 from .errors import ParseError
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<dt>dt(?P<dtidx>\d+))|(?P<t>t(?P<tidx>\d+))"
-    r"|(?P<plus>\+)|(?P<minus>-)|(?P<star>\*)|(?P<caret>\^))"
-)
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        start = m.start() + len(m.group(0)) - len(m.group(0).lstrip())
-        if m.group("num"):
-            tokens.append(("num", int(m.group("num")), start))
-        elif m.group("dt"):
-            tokens.append(("dt", int(m.group("dtidx")), start))
-        elif m.group("t"):
-            tokens.append(("t", int(m.group("tidx")), start))
-        elif m.group("plus"):
-            tokens.append(("+", None, start))
-        elif m.group("minus"):
-            tokens.append(("-", None, start))
-        elif m.group("star"):
-            tokens.append(("*", None, start))
-        else:
-            tokens.append(("^", None, start))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, cfg, length):
-        self.tokens = tokens
-        self.cfg = cfg
-        self.i = 0
-        self.length = length
-
-    def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def pos(self):
-        return self.tokens[self.i][2] if self.i < len(self.tokens) else self.length
-
-    def parse_class(self):
-        if not self.tokens:
-            raise ParseError("empty expression", 0)
-        terms = [self.parse_term(lead_sign=True)]
-        while self.peek() is not None:
-            kind, _, pos = self.next()
-            if kind not in "+-":
-                raise ParseError("expected '+' or '-' between terms", pos)
-            terms.append(self.parse_term(sign=-1 if kind == "-" else 1))
-        return terms
-
-    def parse_term(self, sign=1, lead_sign=False):
-        if lead_sign and self.peek() in ("+", "-"):
-            kind, _, _ = self.next()
-            sign = -1 if kind == "-" else 1
-        coeff = sign
-        saw_number = False
-        if self.peek() == "num":
-            _, value, _ = self.next()
-            coeff *= value
-            saw_number = True
-            if self.peek() == "*":
-                self.next()
-                if self.peek() not in ("t", "dt"):
-                    raise ParseError("expected a t or dt factor after '*'", self.pos())
-        exps = [0] * self.cfg.n
-        dts = []
-        while True:
-            kind = self.peek()
-            if kind in ("t", "dt"):
-                self.parse_factor(exps, dts)
-            elif kind == "*":
-                _, _, pos = self.next()
-                if self.peek() not in ("t", "dt"):
-                    raise ParseError("expected a t or dt factor after '*'", self.pos())
-            else:
-                break
-        if not saw_number and not dts and not any(exps):
-            raise ParseError("expected a term", self.pos())
-        # Koszul sign for exterior factors written out of ascending order
-        coeff *= _perm_sign(dts)
-        mask = 0
-        for k in dts:
-            mask |= 1 << (k - 1)
-        return mask, tuple(exps), coeff
-
-    def parse_factor(self, exps, dts):
-        kind, idx, pos = self.next()
-        if not 1 <= idx <= self.cfg.n:
-            raise ParseError(f"index {idx} out of range 1..{self.cfg.n}", pos)
-        if kind == "dt":
-            if self.peek() == "^":
-                raise ParseError("exponent not allowed on a dt factor", self.pos())
-            if idx in dts:
-                raise ParseError(f"repeated exterior generator dt{idx}", pos)
-            dts.append(idx)
-            return
-        e = 1
-        if self.peek() == "^":
-            self.next()
-            if self.peek() != "num":
-                raise ParseError("expected an exponent after '^'", self.pos())
-            _, e, epos = self.next()
-            if e < 1:
-                raise ParseError("exponent must be positive", epos)
-        exps[idx - 1] += e
+# one token per match; finditer skips whitespace, since no group matches it
+_TOKEN = re.compile(r"(?P<num>\d+)|(?P<dt>dt\d+)|(?P<t>t\d+)|(?P<op>[-+*^])|(?P<bad>\S)")
 
 
 def parse_class(text, cfg):
     """Parse expression text into a normalized ExtClass."""
     if not isinstance(cfg, Config):
         raise TypeError("cfg must be a Config")
-    parser = _Parser(_tokenize(text), cfg, len(text))
-    return ExtClass.from_terms(cfg, parser.parse_class())
+    n = cfg.n
+    # (kind, value, position): kind is "num", "t" or "dt" with an integer
+    # value, or the operator itself; the sentinel kind None ends the list
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind, word, at = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", at)
+        tokens.append((word, None, at) if kind == "op" else (kind, int(word.lstrip("dt")), at))
+    if not tokens:
+        raise ParseError("empty expression", 0)
+    tokens.append((None, None, len(text)))
+    # state is what the last token allows next: "sign" and "term" open a
+    # term (only the first may take a sign), "t" follows a t factor that
+    # may take an exponent, "body" follows a number, a dt factor or an
+    # exponent, and "*" and "^" wait for their operand
+    terms = []
+    coeff, exps, dts, state = 1, [0] * n, [], "sign"
+    for i, (kind, value, at) in enumerate(tokens):
+        if state == "*" and kind not in ("t", "dt"):
+            raise ParseError("expected a t or dt factor after '*'", at)
+        if state == "^":
+            if kind != "num":
+                raise ParseError("expected an exponent after '^'", at)
+            if value < 1:
+                raise ParseError("exponent must be positive", at)
+            exps[last] += value - 1
+            state = "body"
+        elif kind in ("t", "dt"):
+            if not 1 <= value <= n:
+                raise ParseError(f"index {value} out of range 1..{n}", at)
+            if kind == "t":
+                last, state = value - 1, "t"
+                exps[last] += 1
+            elif tokens[i + 1][0] == "^":  # reported before a repeat
+                raise ParseError("exponent not allowed on a dt factor", tokens[i + 1][2])
+            elif value in dts:
+                raise ParseError(f"repeated exterior generator dt{value}", at)
+            else:
+                dts.append(value)
+                state = "body"
+        elif state in ("sign", "term"):
+            if kind == "num":
+                coeff *= value
+                state = "body"
+            elif state == "sign" and kind in ("+", "-"):
+                coeff = -1 if kind == "-" else 1
+                state = "term"
+            else:
+                raise ParseError("expected a term", at)
+        elif kind == "*":
+            state = "*"
+        elif kind == "^" and state == "t":
+            state = "^"
+        else:
+            # the term ends; Koszul sign for dt factors out of ascending order
+            mask = sum(1 << (k - 1) for k in dts)
+            terms.append((mask, tuple(exps), coeff * _perm_sign(dts)))
+            if kind not in ("+", "-", None):
+                raise ParseError("expected '+' or '-' between terms", at)
+            coeff, exps, dts, state = -1 if kind == "-" else 1, [0] * n, [], "term"
+    return ExtClass.from_terms(cfg, terms)
 
 
 def _factor_text(mask, mono):

@@ -20,11 +20,12 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
+# modules, not their functions: a module runs on its first use (see
+# milnorq/__init__.py), so a call that needs neither runs neither
+from . import linalg, steenrod
 from .algebra import Config, ExtClass, LinearSubst, _perm_sign, substitute_linear
 from .backend import add_into, frobenius, poly_mul, poly_pow
 from .errors import ConsistencyError, guard
-from .linalg import Matrix, kernel_basis
-from .steenrod import apply_word
 
 DESK_SCALE_POINTS = 400  # refuse group-size work beyond p^n of this size
 INVARIANT_MATRIX_BYTES = 1 << 30  # bound on the grade-solver estimate, see below
@@ -124,7 +125,7 @@ def _dickson_set(cfg):
     for i in range(n - 1, -1, -1):
         poly = coeffs.get(p**i)
         cs.append(ExtClass(cfg, {0: poly} if poly else {}).scale((-1) ** (n - i)))
-    e = apply_word([("Q", i) for i in range(n)], ExtClass.dt_top(cfg))
+    e = steenrod.apply_word([("Q", i) for i in range(n)], ExtClass.dt_top(cfg))
     _validate_dickson(cfg, e, cs)
     return DicksonSet(cfg, e, tuple(cs))
 
@@ -241,19 +242,22 @@ def _grades(cfg, d):
     ]
 
 
+def _grade_basis(n, masks, m):
+    """Yield the (mask, mono) basis of one grade of _grades in canonical
+    order: by monomial, in descending lex order with t_1 first as
+    monomials() yields them, and then by mask."""
+    for mono in monomials(n, m):
+        for mask in masks:
+            yield mask, mono
+
+
 def degree_basis(cfg, d):
     """Canonically ordered monomial basis of the degree-d piece.
 
     At one degree the canonical order of ExtClass.iter_terms lists the
-    grades from the fewest dt factors up, each by monomial, in descending
-    lex order with t_1 first as monomials() yields them, and then by mask.
+    grades from the fewest dt factors up, each as _grade_basis lists it.
     """
-    return [
-        (mask, mono)
-        for masks, m in _grades(cfg, d)
-        for mono in monomials(cfg.n, m)
-        for mask in masks
-    ]
+    return [key for masks, m in _grades(cfg, d) for key in _grade_basis(cfg.n, masks, m)]
 
 
 def grade_sizes(cfg, d):
@@ -488,7 +492,7 @@ def _moved(cfg, g, kern):
         }
         for key, c in add_into(moved, vec, -1, p).items():
             rows.setdefault(key, {})[j] = c
-    return Matrix(list(rows.values()), len(kern))
+    return linalg.Matrix(list(rows.values()), len(kern))
 
 
 def invariant_dimension(cfg, d, group):
@@ -515,9 +519,9 @@ def invariant_dimension(cfg, d, group):
     p = cfg.p
     classes = []
     for masks, m in _grades(cfg, d):
-        kern = [{(mask, mono): 1} for mono in monomials(cfg.n, m) for mask in masks]
+        kern = [{key: 1} for key in _grade_basis(cfg.n, masks, m)]
         for g in group.generators:
-            combos = kernel_basis(_moved(cfg, g, kern), p)
+            combos = linalg.kernel_basis(_moved(cfg, g, kern), p)
             if not combos:
                 break
             # kernel_basis returns reduced echelon rows, and a product of

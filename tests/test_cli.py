@@ -213,6 +213,12 @@ class TestExitCodes:
         assert code == 2
         assert "parse error" in err
 
+    def test_parse_error_names_the_character_and_its_position(self, capsys):
+        argv = ["apply", "-p", "3", "-n", "2", "--ops", "Q0", "--expr", "t1 + $"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "parse error: unexpected character '$' (at position 5)\n"
+
     def test_resource_guard(self, capsys):
         code, _, err = run(capsys, ["dickson", "-p", "5", "-n", "4"])
         assert code == 2

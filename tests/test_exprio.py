@@ -75,6 +75,47 @@ class TestParse:
             parse_class("t1 * t9", cfg)
         assert exc.value.position == 5
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("t1 + $", "unexpected character '$'", 5),
+            ("", "empty expression", 0),
+            ("  ", "empty expression", 0),
+            ("t1 t2 3", "expected '+' or '-' between terms", 6),
+            ("2*+t1", "expected a t or dt factor after '*'", 2),
+            ("2 t1 *", "expected a t or dt factor after '*'", 6),
+            ("t1 + +t2", "expected a term", 5),
+            ("*t1", "expected a term", 0),
+            ("t1 + *t2", "expected a term", 5),
+            ("t3", "index 3 out of range 1..2", 0),
+            ("dt1^2", "exponent not allowed on a dt factor", 3),
+            ("dt1*dt1", "repeated exterior generator dt1", 4),
+            ("t1^", "expected an exponent after '^'", 3),
+            ("t1^0", "exponent must be positive", 3),
+        ],
+        ids=[
+            "bad-character",
+            "empty",
+            "blank",
+            "no-operator",
+            "operator-after-star",
+            "trailing-star",
+            "second-sign",
+            "star-first-term",
+            "star-later-term",
+            "index-range",
+            "dt-exponent",
+            "repeated-dt",
+            "no-exponent",
+            "zero-exponent",
+        ],
+    )
+    def test_every_error_names_its_message_and_position(self, text, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse_class(text, Config(3, 2))
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+
     def test_constants_and_signs(self):
         cfg = Config(3, 2)
         t1 = ExtClass.t(cfg, 1)

@@ -127,10 +127,43 @@ assert {name for name in sys.modules if name.startswith("milnorq.")} == {
 assert "json" not in sys.modules
 """ % sorted(LIBRARY)
 
-LAZY_APPLY = RAN + """
-quiet(["apply", "-p", "5", "-n", "2", "--ops", "Q0,P1", "--expr", "t1*dt2", "--json"])
-assert not ran() & {"chern", "torus", "invariants", "linalg"}, ran()
+
+def lazy_call(argv, unused):
+    """Code that runs one CLI call and checks that none of unused ran."""
+    return RAN + f"quiet({argv!r})\nassert not ran() & {unused!r}, ran()\n"
+
+
+LAZY_APPLY = lazy_call(
+    ["apply", "-p", "5", "-n", "2", "--ops", "Q0,P1", "--expr", "t1*dt2", "--json"],
+    {"chern", "torus", "invariants", "linalg"},
+)
+
+# chern-rep writes its weights file first: the call reads it
+LAZY_CHERN_REP = RAN + """
+import os, tempfile
+with tempfile.TemporaryDirectory() as tmp:
+    weights = os.path.join(tmp, "weights.txt")
+    with open(weights, "w", encoding="utf-8") as fh:
+        fh.write("1,0 x2\\n0,1\\n")
+    quiet(["chern-rep", "-p", "3", "-n", "2", "--weights", weights])
+assert not ran() & {"invariants", "linalg", "steenrod"}, ran()
 """
+
+LAZY_INVARIANCE = lazy_call(
+    ["invariance", "-p", "3", "-n", "2", "--group", "sl", "--expr", E_32],
+    {"linalg", "steenrod"},
+)
+
+LAZY_ORBIT = lazy_call(
+    ["orbit", "-p", "5", "-n", "2", "--group", "gl", "--start", "1,0"],
+    {"linalg", "steenrod"},
+)
+
+LAZY_DICKSON = lazy_call(["dickson", "-p", "3", "-n", "2"], {"linalg"})
+
+LAZY_MEMBERSHIP = lazy_call(
+    ["membership", "-p", "3", "-n", "2", "--ring", "sd", "--expr", E_32], {"linalg"}
+)
 
 LAZY_E8 = RAN + """
 quiet(["e8-adjoint", "-p", "3"])
@@ -187,8 +220,28 @@ def test_solvers_leave_numpy_unloaded():
 
 @pytest.mark.parametrize(
     "code",
-    [LAZY_IMPORT, LAZY_APPLY, LAZY_E8, STAR],
-    ids=["import", "apply", "e8-adjoint", "star-import"],
+    [
+        LAZY_IMPORT,
+        LAZY_APPLY,
+        LAZY_E8,
+        LAZY_CHERN_REP,
+        LAZY_INVARIANCE,
+        LAZY_ORBIT,
+        LAZY_DICKSON,
+        LAZY_MEMBERSHIP,
+        STAR,
+    ],
+    ids=[
+        "import",
+        "apply",
+        "e8-adjoint",
+        "chern-rep",
+        "invariance",
+        "orbit",
+        "dickson",
+        "membership",
+        "star-import",
+    ],
 )
 def test_calls_run_only_the_modules_they_use(code):
     run_fresh(code)
