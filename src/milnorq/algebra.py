@@ -27,7 +27,11 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .backend import add_into, poly_mul
-from .errors import ConfigMismatchError
+from .errors import DESK_SCALE_BYTES, ConfigMismatchError, guard
+
+# the tracemalloc peak of _shear per priced term was 43-359 B over p = 3..97
+# and n = 2..4, and 185-222 B at 10^5 to 2.7 * 10^6 terms
+SHEAR_TERM_BYTES = 400
 
 
 def is_prime(m):
@@ -377,10 +381,6 @@ class LinearSubst:
         # row k of other.rows @ self.rows is self's image of the weight row k
         return LinearSubst(self.cfg, [self.apply_weight(row) for row in other.rows])
 
-    def transpose(self):
-        n = self.cfg.n
-        return LinearSubst(self.cfg, [[self.rows[j][i] for j in range(n)] for i in range(n)])
-
     def inverse(self):
         """Q^-1 times the inverse shears I - c*E_ij, last shear first."""
         p, n = self.cfg.p, self.cfg.n
@@ -456,6 +456,17 @@ def _binomials_mod_p(a, kmax, p):
     return tuple(row)
 
 
+@lru_cache(maxsize=4096)
+def _lucas_count(a, p):
+    """How many C(a, k), 0 <= k <= a, are nonzero mod p: prod_d (a_d + 1)
+    over the base-p digits a_d of a, by Lucas's theorem."""
+    count = 1
+    while a:
+        a, digit = divmod(a, p)
+        count *= digit + 1
+    return count
+
+
 def _shear(parts, i, j, c, p):
     """parts under the shear (i, j, c), by the rules in the module docstring."""
     powers = [pow(c, k, p) for k in range(p - 1)]
@@ -521,11 +532,24 @@ def substitute_linear(g, x):
     """Apply the algebra homomorphism induced by g to x.
 
     The shears of g act one at a time, in order, by _shear; the monomial
-    factor then moves and scales each term by _monomial.
+    factor then moves and scales each term by _monomial.  Each shear is
+    priced from base-p digits before it expands: t_i^a gives
+    _lucas_count(a, p) terms, and a term with dt_i twice that.
     """
     _check_cfg(g.cfg, x.cfg)
     p = x.cfg.p
     parts = x.parts
     for i, j, c in g.shears:
+        terms = sum(
+            sum(_lucas_count(mono[i], p) for mono in poly) << (mask >> i & 1)
+            for mask, poly in parts.items()
+        )
+        needed = SHEAR_TERM_BYTES * terms
+        guard(
+            needed,
+            DESK_SCALE_BYTES,
+            f"a substitution expands into up to {terms} terms, "
+            f"about {needed} bytes; bound is {DESK_SCALE_BYTES}",
+        )
         parts = _shear(parts, i, j, c, p)
     return ExtClass(x.cfg, _monomial(parts, g.perm, g.diag, p))

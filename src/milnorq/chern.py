@@ -32,7 +32,7 @@ import math
 from . import invariants, steenrod
 from .algebra import ExtClass, LinearSubst, substitute_linear
 from .backend import add_into, poly_mul, poly_pow
-from .errors import ConsistencyError, guard
+from .errors import ConsistencyError, guard, guard_points
 
 TABLE_WORK_BOUND = 20_000  # obstruction_table refuses a_max * p^n above this
 
@@ -56,44 +56,12 @@ class WeightMultiset:
         self.cfg = cfg
         self.weights = merged
 
-    @classmethod
-    def trivial(cls, cfg, dim=1):
-        return cls(cfg, {(0,) * cfg.n: dim})
-
     @property
     def dimension(self):
         return sum(self.weights.values())
 
     def items(self):
         return sorted(self.weights.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightMultiset):
-            return NotImplemented
-        return self.cfg == other.cfg and self.weights == other.weights
-
-    def __add__(self, other):
-        """Direct sum."""
-        if self.cfg != other.cfg:
-            raise ValueError("config mismatch in direct sum")
-        merged = dict(self.weights)
-        for v, m in other.weights.items():
-            merged[v] = merged.get(v, 0) + m
-        return WeightMultiset(self.cfg, merged)
-
-    def __rmul__(self, a):
-        """a-fold direct sum; a == 0 gives the empty multiset."""
-        if not isinstance(a, int) or a < 0:
-            return NotImplemented
-        if a == 0:
-            return WeightMultiset(self.cfg, {})
-        return WeightMultiset(self.cfg, {v: a * m for v, m in self.weights.items()})
-
-    def act(self, g):
-        """The multiset of transformed weights (g invertible, so a bijection)."""
-        return WeightMultiset(
-            self.cfg, {g.apply_weight(v): m for v, m in self.weights.items()}
-        )
 
     def __repr__(self):
         body = ", ".join(f"{v}x{m}" for v, m in self.items())
@@ -128,7 +96,7 @@ class WeightMultiset:
 
 def regular_representation(cfg):
     """Every weight of V_n with multiplicity one (the zero weight included)."""
-    invariants._guard_points(cfg)
+    guard_points(cfg)
     return WeightMultiset(
         cfg, {v: 1 for v in itertools.product(range(cfg.p), repeat=cfg.n)}
     )
@@ -241,7 +209,7 @@ def divisibility_profile(x):
     The loop visits all p^n vectors, so it takes the desk-scale check first.
     """
     cfg = x.cfg
-    invariants._guard_points(cfg)
+    guard_points(cfg)
     _require_unital_poly(x)
     p, n = cfg.p, cfg.n
     profile = {}

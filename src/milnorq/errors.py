@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the desk-scale guards shared across the package."""
 
 
 class ConfigMismatchError(ValueError):
@@ -17,6 +17,10 @@ class ResourceGuardError(RuntimeError):
     """A computation was refused because it exceeds the supported desk scale."""
 
 
+DESK_SCALE_POINTS = 400  # refuse group-size work beyond p^n of this size
+DESK_SCALE_BYTES = 1 << 30  # refuse work whose estimated peak exceeds this
+
+
 def guard(needed, bound, message):
     """Raise ResourceGuardError(message) when needed exceeds bound.
 
@@ -25,6 +29,16 @@ def guard(needed, bound, message):
     """
     if needed > bound:
         raise ResourceGuardError(message)
+
+
+def guard_points(cfg):
+    """Refuse group-size work at more than DESK_SCALE_POINTS vectors p^n."""
+    points = cfg.p**cfg.n
+    guard(
+        points,
+        DESK_SCALE_POINTS,
+        f"p^n = {points} exceeds the desk-scale bound {DESK_SCALE_POINTS}",
+    )
 
 
 class ConsistencyError(RuntimeError):

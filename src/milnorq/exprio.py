@@ -26,8 +26,11 @@ import re
 from .algebra import Config, ExtClass, _perm_sign
 from .errors import ParseError
 
-# one token per match; finditer skips whitespace, since no group matches it
-_TOKEN = re.compile(r"(?P<num>\d+)|(?P<dt>dt\d+)|(?P<t>t\d+)|(?P<op>[-+*^])|(?P<bad>\S)")
+# one token per match; finditer skips whitespace, since no group matches it.
+# Digits are ASCII only: int() would also read other scripts' digits
+_TOKEN = re.compile(
+    r"(?P<num>[0-9]+)|(?P<dt>dt[0-9]+)|(?P<t>t[0-9]+)|(?P<op>[-+*^])|(?P<bad>\S)"
+)
 
 
 def parse_class(text, cfg):

@@ -25,24 +25,12 @@ from functools import lru_cache
 from . import linalg, steenrod
 from .algebra import Config, ExtClass, LinearSubst, _perm_sign, substitute_linear
 from .backend import add_into, frobenius, poly_mul, poly_pow
-from .errors import ConsistencyError, guard
+from .errors import DESK_SCALE_BYTES, ConsistencyError, guard, guard_points
 
-DESK_SCALE_POINTS = 400  # refuse group-size work beyond p^n of this size
-INVARIANT_MATRIX_BYTES = 1 << 30  # bound on the grade-solver estimate, see below
 GRADE_PEAK_FACTOR = 4  # dense-solver peak / (8 x G^2) was 3.0-3.5, kept as a bound
 MEMBERSHIP_ROW_BYTES = 256  # dense-solver peak per monomial row, kept as a bound
 MEMBERSHIP_CELL_BYTES = 96  # and per (monomial, candidate) cell
 CACHE_ENTRIES = 16  # least recently used entries kept by the Dickson cache
-
-
-def _guard_points(cfg):
-    """Refuse group-size work at more than DESK_SCALE_POINTS vectors p^n."""
-    points = cfg.p**cfg.n
-    guard(
-        points,
-        DESK_SCALE_POINTS,
-        f"p^n = {points} exceeds the desk-scale bound {DESK_SCALE_POINTS}",
-    )
 
 
 def dickson_polynomial(cfg):
@@ -53,7 +41,7 @@ def dickson_polynomial(cfg):
     one variable at a time: f_n is additive in X, so
     f_k(X) = f_{k-1}(X)^p - f_{k-1}(t_k)^(p-1) * f_{k-1}(X).
     """
-    _guard_points(cfg)
+    guard_points(cfg)
     p, n = cfg.p, cfg.n
     f = {(1,) + cfg.zero_mono: 1}
     for k in range(1, n + 1):
@@ -251,17 +239,8 @@ def _grade_basis(n, masks, m):
             yield mask, mono
 
 
-def degree_basis(cfg, d):
-    """Canonically ordered monomial basis of the degree-d piece.
-
-    At one degree the canonical order of ExtClass.iter_terms lists the
-    grades from the fewest dt factors up, each as _grade_basis lists it.
-    """
-    return [key for masks, m in _grades(cfg, d) for key in _grade_basis(cfg.n, masks, m)]
-
-
 def grade_sizes(cfg, d):
-    """Sizes of the exterior grades of degree_basis(cfg, d), in basis order,
+    """Sizes of the exterior grades of _grades(cfg, d), in their order,
     counted by binomials without listing any monomial."""
     n = cfg.n
     return [len(masks) * math.comb(m + n - 1, n - 1) for masks, m in _grades(cfg, d)]
@@ -306,7 +285,7 @@ def _compositions(total, degrees):
 
 def check_membership_bytes(cfg, d, degrees):
     """Raise ResourceGuardError unless membership_dickson at degree d fits
-    under INVARIANT_MATRIX_BYTES by an estimate of its peak.
+    under DESK_SCALE_BYTES by an estimate of its peak.
 
     The estimate is MEMBERSHIP_ROW_BYTES x rows + MEMBERSHIP_CELL_BYTES x
     rows x cols for rows monomials and cols candidate products, measured
@@ -320,14 +299,14 @@ def check_membership_bytes(cfg, d, degrees):
     """
     rows = math.comb(d // 2 + cfg.n - 1, cfg.n - 1)
     needed = MEMBERSHIP_ROW_BYTES * rows
-    if needed <= INVARIANT_MATRIX_BYTES < needed + MEMBERSHIP_CELL_BYTES * rows * rows:
+    if needed <= DESK_SCALE_BYTES < needed + MEMBERSHIP_CELL_BYTES * rows * rows:
         cols = sum(1 for _ in _compositions(d, degrees))
         needed += MEMBERSHIP_CELL_BYTES * rows * cols
     guard(
         needed,
-        INVARIANT_MATRIX_BYTES,
+        DESK_SCALE_BYTES,
         f"degree-{d} membership needs {rows} monomial rows, "
-        f"about {needed} bytes; bound is {INVARIANT_MATRIX_BYTES}",
+        f"about {needed} bytes; bound is {DESK_SCALE_BYTES}",
     )
 
 
@@ -441,7 +420,7 @@ def orbit_size(cfg, group, start):
 
 def check_invariant_matrix_bytes(cfg, d):
     """Raise ResourceGuardError unless invariant_dimension at degree d fits
-    under INVARIANT_MATRIX_BYTES by an estimate of its peak.
+    under DESK_SCALE_BYTES by an estimate of its peak.
 
     invariant_dimension solves one exterior grade at a time.  The estimate
     is GRADE_PEAK_FACTOR x G^2 x 8 bytes for the largest grade size G,
@@ -462,9 +441,9 @@ def check_invariant_matrix_bytes(cfg, d):
     needed = GRADE_PEAK_FACTOR * size * size * 8
     guard(
         needed,
-        INVARIANT_MATRIX_BYTES,
+        DESK_SCALE_BYTES,
         f"degree-{d} invariants need {size}x{size} int64 matrices, "
-        f"about {needed} bytes; bound is {INVARIANT_MATRIX_BYTES}",
+        f"about {needed} bytes; bound is {DESK_SCALE_BYTES}",
     )
 
 
@@ -511,9 +490,10 @@ def invariant_dimension(cfg, d, group):
     before the one shear E_12(1) is expanded on it.  A grade stops as soon
     as K is empty, without building the matrices of the remaining
     generators.  K stays in reduced echelon form on the coordinates of its
-    grade, listed in the order of degree_basis, and the grades sit on
-    disjoint, ordered coordinates, so together they give the reduced
-    echelon basis of the whole kernel.
+    grade, in the canonical order of _grade_basis, and the grades sit on
+    disjoint coordinates that ExtClass.iter_terms orders fewest dt factors
+    first, so together they give the reduced echelon basis of the whole
+    kernel.
     """
     check_invariant_matrix_bytes(cfg, d)
     p = cfg.p

@@ -112,7 +112,8 @@ def parse_op_word(text):
         if not atom:
             raise ValueError("empty operation atom")
         kind = atom[0].upper()
-        if kind not in ("Q", "P") or not atom[1:].isdigit():
+        # ASCII digits only: str.isdigit also accepts "²", and int() "١"
+        if kind not in ("Q", "P") or not (atom[1:].isascii() and atom[1:].isdigit()):
             raise ValueError(f"bad operation atom {atom!r}; expected Q<i> or P<j>")
         word.append((kind, int(atom[1:])))
     return word

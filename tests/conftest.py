@@ -1,10 +1,12 @@
 """Shared generators for randomized algebra tests (seeded, deterministic)."""
 
+import itertools
 import random
 
 import pytest
 
 from milnorq import Config, ExtClass, LinearSubst
+from milnorq.chern import WeightMultiset
 from milnorq.invariants import monomials
 
 
@@ -50,6 +52,17 @@ def random_subst(rng, cfg):
             return LinearSubst(cfg, rows)
         except ValueError:
             continue
+
+
+def regular_plus(cfg, a, extra=()):
+    """a * reg plus the (weight, multiplicity) pairs of extra, one multiset."""
+    pairs = [(v, a) for v in itertools.product(range(cfg.p), repeat=cfg.n)] if a else []
+    return WeightMultiset(cfg, pairs + list(extra))
+
+
+def act(g, rho):
+    """The multiset of the weights g.v of rho, a bijection as g is invertible."""
+    return WeightMultiset(rho.cfg, {g.apply_weight(v): m for v, m in rho.weights.items()})
 
 
 def x_coefficient(cfg, f, e):

@@ -9,8 +9,8 @@
 - Row reduction mod p: rref_dense rewrites the whole dense numpy matrix
   at every pivot, where linalg.rref eliminates sparse rows one at a time.
 - Degree bases: degree_basis_sorted sorts every (mask, monomial) pair of
-  the degree by the canonical term order, where invariants.degree_basis
-  lists the exterior grades one after another, each already in order.
+  the degree by the canonical term order, where invariants._grade_basis
+  lists each exterior grade of invariants._grades already in order.
 - Invariants: invariant_dimension_stacked solves one stacked system of all
   (g - id) blocks over the sorted basis of the whole degree, where
   invariant_dimension works one exterior grade and one generator at a
@@ -56,11 +56,11 @@ from milnorq.algebra import (
 )
 from milnorq.backend import add_into, poly_mul, poly_pow
 from milnorq.chern import _coordinate_change
+from milnorq.errors import guard_points
 from milnorq.invariants import (
     GroupSpec,
     _compositions,
     _generator_degrees,
-    _guard_points,
     monomials,
     primitive_root,
     ring_generators,
@@ -80,7 +80,7 @@ def poly_mul_dict(a, b, p):
 
 def dickson_polynomial_naive(cfg):
     """The literal p^n-factor product of (X + v)."""
-    _guard_points(cfg)
+    guard_points(cfg)
     p, n = cfg.p, cfg.n
     f = {(0,) * (n + 1): 1}
     for v in itertools.product(range(p), repeat=n):
@@ -106,7 +106,7 @@ def substitute_x_shift(f, lam, k, p):
 
 def dickson_polynomial_shift(cfg):
     """The recursion f_n(X) = prod_lam f_{n-1}(X + lam*t_n)."""
-    _guard_points(cfg)
+    guard_points(cfg)
     p, n = cfg.p, cfg.n
     f = {(1,) + (0,) * n: 1}
     for k in range(1, n + 1):
@@ -216,8 +216,8 @@ def kernel_basis_dense(matrix, p):
 
 
 def degree_basis_sorted(cfg, d):
-    """invariants.degree_basis as every (mask, monomial) pair of degree d,
-    sorted by the canonical term order."""
+    """Every (mask, monomial) pair of degree d, sorted by the canonical term
+    order."""
     basis = []
     for mask in range(1 << cfg.n):
         r = mask.bit_count()

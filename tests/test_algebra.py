@@ -11,9 +11,12 @@ from milnorq import (
     ConfigMismatchError,
     ExtClass,
     LinearSubst,
+    ResourceGuardError,
     group_generators,
     substitute_linear,
 )
+from milnorq import algebra
+from milnorq.algebra import _binomials_mod_p, _lucas_count
 from conftest import CONFIGS, random_class, random_homogeneous, random_subst
 from oracles import det_by_permutations, substitute_linear_expanded
 
@@ -218,7 +221,9 @@ class TestSubstitution:
         for cfg in CONFIGS:
             g = random_subst(rng, cfg)
             assert g @ g.inverse() == LinearSubst.identity(cfg)
-            assert g.transpose().transpose() == g
+            # (g^-1)^T is the inverse of g^T
+            transposed = LinearSubst(cfg, zip(*g.rows))
+            assert transposed.inverse() == LinearSubst(cfg, zip(*g.inverse().rows))
 
     def test_weight_action_matches_linear_form_substitution(self, rng):
         for cfg in CONFIGS:
@@ -380,3 +385,23 @@ class TestShearFactors:
             assert g.det == det_by_permutations(rows, 5)
             x = random_class(rng, cfg, max_terms=4, max_exp=5)
             assert substitute_linear(g, x) == substitute_linear_expanded(g, x)
+
+    @pytest.mark.parametrize("p", [3, 5, 97])
+    def test_shear_price_counts_the_nonzero_binomials(self, p):
+        # Lucas: C(a, k) != 0 mod p for exactly prod_d (a_d + 1) values of k
+        for a in (0, 1, p - 1, p, p * p - 1, 2 * p**3 + 5, 10_000):
+            assert _lucas_count(a, p) == len(_binomials_mod_p(a, a, p))
+
+    def test_shear_is_priced_at_its_term_count(self, monkeypatch):
+        # t1^26 dt1 under E_12(1): 26 = 222 in base 3, so 27 terms with dt1
+        # and 27 with dt2, none of which collide
+        cfg = Config(3, 2)
+        x = ExtClass.from_terms(cfg, [(1, (26, 0), 1)])
+        g = LinearSubst.transvection(cfg, 1, 2)
+        y = substitute_linear(g, x)
+        assert sum(map(len, y.parts.values())) == 54
+        monkeypatch.setattr(algebra, "DESK_SCALE_BYTES", algebra.SHEAR_TERM_BYTES * 54)
+        assert substitute_linear(g, x) == y
+        monkeypatch.setattr(algebra, "DESK_SCALE_BYTES", algebra.SHEAR_TERM_BYTES * 54 - 1)
+        with pytest.raises(ResourceGuardError, match="up to 54 terms"):
+            substitute_linear(g, x)

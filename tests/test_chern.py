@@ -25,7 +25,7 @@ from milnorq import (
 )
 from milnorq import chern
 from milnorq.chern import WeightMultiset, _coordinate_change
-from conftest import random_subst
+from conftest import act, random_subst, regular_plus
 from oracles import (
     divide_once,
     divisibility_profile_per_vector,
@@ -54,7 +54,7 @@ class TestWeightMultiset:
 
     def test_coordinates_are_reduced_mod_p(self):
         cfg = Config(3, 2)
-        assert WeightMultiset(cfg, {(4, -1): 1}) == WeightMultiset(cfg, {(1, 2): 1})
+        assert WeightMultiset(cfg, {(4, -1): 1}).weights == {(1, 2): 1}
 
     def test_multiplicity_must_be_positive(self):
         cfg = Config(3, 2)
@@ -66,24 +66,18 @@ class TestWeightMultiset:
         rho = WeightMultiset.parse(
             "# comment\n1,0,2 x3\n\n0,1,1  # trailing comment\n1,0,2\n", cfg
         )
-        assert rho == WeightMultiset(cfg, {(1, 0, 2): 4, (0, 1, 1): 1})
+        assert rho.weights == {(1, 0, 2): 4, (0, 1, 1): 1}
         with pytest.raises(ValueError):
             WeightMultiset.parse("1,0\n", cfg)
         with pytest.raises(ValueError):
             WeightMultiset.parse("1,0,0 y2\n", cfg)
-
-    def test_direct_sum_and_scaling(self):
-        cfg = Config(3, 1)
-        rho = WeightMultiset(cfg, {(1,): 1})
-        assert (rho + rho) == 2 * rho
-        assert (0 * rho).dimension == 0
 
 
 class TestTotalChern:
     def test_trivial_representation(self):
         cfg = Config(3, 2)
         for dim in (1, 4):
-            assert total_chern(WeightMultiset.trivial(cfg, dim)) == ExtClass.one(cfg)
+            assert total_chern(WeightMultiset(cfg, {(0, 0): dim})) == ExtClass.one(cfg)
 
     def test_regular_rank_one(self):
         cfg = Config(3, 1)
@@ -103,14 +97,15 @@ class TestTotalChern:
             for _ in range(5):
                 a = random_multiset(rng, cfg)
                 b = random_multiset(rng, cfg)
-                assert total_chern(a + b) == total_chern(a) * total_chern(b)
+                a_plus_b = WeightMultiset(cfg, a.items() + b.items())
+                assert total_chern(a_plus_b) == total_chern(a) * total_chern(b)
 
     def test_multiset_semantics_ignore_listing_order(self, rng):
         cfg = Config(3, 2)
         pairs = [((1, 0), 2), ((2, 1), 1), ((0, 1), 3)]
         rho1 = WeightMultiset(cfg, pairs)
         rho2 = WeightMultiset(cfg, list(reversed(pairs)))
-        assert rho1 == rho2
+        assert rho1.weights == rho2.weights
         assert total_chern(rho1) == total_chern(rho2)
 
     def test_top_degree(self, rng):
@@ -126,7 +121,7 @@ class TestTotalChern:
             for _ in range(5):
                 rho = random_multiset(rng, cfg)
                 g = random_subst(rng, cfg)
-                assert total_chern(rho.act(g)) == substitute_linear(g, total_chern(rho))
+                assert total_chern(act(g, rho)) == substitute_linear(g, total_chern(rho))
 
 
 # a*reg is drawn only where the sequential oracle stays cheap; at (5,3) and
@@ -174,7 +169,7 @@ class TestTreeRoute:
         for idx, ci in enumerate(ds.c):
             creg = creg + ci.scale((-1) ** (idx + 1))
         extras = random_multiset(rng, cfg, max_weights=3, max_mult=2)
-        rho = a * regular_representation(cfg) + extras
+        rho = regular_plus(cfg, a, extras.items())
         assert total_chern(rho) == creg**a * total_chern_sequential(extras)
 
     def test_few_weights_never_enumerate_the_group(self, monkeypatch):
@@ -326,11 +321,9 @@ class TestTransitiveInvariantMultisets:
             sl = group_generators(cfg, "SL")
             for a in (0, 1, 2, 3):
                 b = rng.randint(0, 2)
-                rho = a * regular_representation(cfg) + WeightMultiset.trivial(
-                    cfg, b + 1
-                )
+                rho = regular_plus(cfg, a, [(cfg.zero_mono, b + 1)])
                 for g in sl.generators:
-                    assert rho.act(g) == rho
+                    assert act(g, rho).weights == rho.weights
                 c = total_chern(rho)
                 assert is_invariant(c, sl)
                 profile = divisibility_profile(c)

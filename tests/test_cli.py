@@ -1,10 +1,11 @@
 import argparse
 import json
 import re
+import time
 
 import pytest
 
-from milnorq import chern, invariants
+from milnorq import algebra, chern, invariants
 from milnorq.cli import build_parser, main
 
 
@@ -250,6 +251,35 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "resource guard" in err
+
+    def test_invariance_prices_the_shear_before_expanding(self, capsys, monkeypatch):
+        # t1^(3^17 - 1) -> (t1 + t2)^(3^17 - 1) has 3^17 terms, all nonzero
+        # mod 3 (Lucas): about 1.3e8 terms, refused before the shear runs
+        def unreachable(*args):
+            raise AssertionError("the guard let the shear start")
+
+        monkeypatch.setattr(algebra, "_shear", unreachable)
+        expr = "t1^129140162 + t2^129140162"
+        argv = ["invariance", "-p", "3", "-n", "2", "--group", "sl", "--expr", expr]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("resource guard: a substitution expands into up to 129140164 terms")
+
+    @pytest.mark.parametrize(
+        "ops, expr, message",
+        [
+            ("Q0", "t\u0661 + t\u0662", "parse error: unexpected character 't' (at position 0)"),
+            ("Q\u0661", "t1", "error: bad operation atom 'Q\u0661'; expected Q<i> or P<j>"),
+            ("Q\u00b2", "t1", "error: bad operation atom 'Q\u00b2'; expected Q<i> or P<j>"),
+        ],
+        ids=["arabic-indic-index", "arabic-indic-op", "superscript-op"],
+    )
+    def test_only_ascii_digits_are_read(self, capsys, ops, expr, message):
+        # int() reads Arabic-Indic digits, and str.isdigit() accepts "²"
+        argv = ["apply", "-p", "3", "-n", "2", "--ops", ops, "--expr", expr]
+        assert run(capsys, argv) == (2, "", message + "\n")
 
     @pytest.mark.parametrize("extra", [[], ["--json"]])
     def test_hilbert_rejects_a_negative_max_degree(self, capsys, monkeypatch, extra):

@@ -138,16 +138,24 @@ LAZY_APPLY = lazy_call(
     {"chern", "torus", "invariants", "linalg"},
 )
 
-# chern-rep writes its weights file first: the call reads it
-LAZY_CHERN_REP = RAN + """
+
+def weights_call(command):
+    """Code that writes a weights file, runs command on it and checks that
+    none of invariants, linalg and steenrod ran."""
+    return RAN + f"""
 import os, tempfile
 with tempfile.TemporaryDirectory() as tmp:
     weights = os.path.join(tmp, "weights.txt")
     with open(weights, "w", encoding="utf-8") as fh:
         fh.write("1,0 x2\\n0,1\\n")
-    quiet(["chern-rep", "-p", "3", "-n", "2", "--weights", weights])
-assert not ran() & {"invariants", "linalg", "steenrod"}, ran()
+    quiet([{command!r}, "-p", "3", "-n", "2", "--weights", weights])
+assert not ran() & {{"invariants", "linalg", "steenrod"}}, ran()
 """
+
+
+LAZY_CHERN_REP = weights_call("chern-rep")
+
+LAZY_MU = weights_call("mu")
 
 LAZY_INVARIANCE = lazy_call(
     ["invariance", "-p", "3", "-n", "2", "--group", "sl", "--expr", E_32],
@@ -225,6 +233,7 @@ def test_solvers_leave_numpy_unloaded():
         LAZY_APPLY,
         LAZY_E8,
         LAZY_CHERN_REP,
+        LAZY_MU,
         LAZY_INVARIANCE,
         LAZY_ORBIT,
         LAZY_DICKSON,
@@ -236,6 +245,7 @@ def test_solvers_leave_numpy_unloaded():
         "apply",
         "e8-adjoint",
         "chern-rep",
+        "mu",
         "invariance",
         "orbit",
         "dickson",
