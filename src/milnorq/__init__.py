@@ -54,15 +54,7 @@ _EXPORTS = {
         "image_generator",
         "obstruction_table",
     ],
-    "torus": [
-        "LaurentChar",
-        "IntSeries",
-        "elementary_symmetric_char",
-        "spin_plus_char",
-        "restrict_to_circle",
-        "chern_series",
-        "e8_adjoint_check",
-    ],
+    "torus": ["restrict_to_circle", "chern_series", "e8_adjoint_check"],
     "backend": ["backend_name"],
     "errors": [
         "ConfigMismatchError",

@@ -32,7 +32,7 @@ import math
 from . import invariants, steenrod
 from .algebra import ExtClass, LinearSubst, substitute_linear
 from .backend import add_into, poly_mul, poly_pow
-from .errors import ConsistencyError, guard, guard_points
+from .errors import ConsistencyError, ascii_int, guard, guard_points
 
 TABLE_WORK_BOUND = 20_000  # obstruction_table refuses a_max * p^n above this
 
@@ -81,11 +81,11 @@ class WeightMultiset:
             mult = 1
             if len(fields) == 2:
                 try:
-                    mult = int(fields[1][1:])
+                    mult = ascii_int(fields[1][1:])
                 except ValueError:
                     raise ValueError(f"line {lineno}: bad multiplicity {fields[1]!r}")
             try:
-                coords = tuple(int(c) for c in fields[0].split(","))
+                coords = tuple(ascii_int(c) for c in fields[0].split(","))
             except ValueError:
                 raise ValueError(f"line {lineno}: bad weight {fields[0]!r}")
             if len(coords) != cfg.n:

@@ -26,13 +26,14 @@ from .errors import (
     ConsistencyError,
     ParseError,
     ResourceGuardError,
+    ascii_int,
 )
 
 
 def _add_common(sub, with_n=True):
-    sub.add_argument("-p", "--p", dest="p", type=int, required=True, help="odd prime")
+    sub.add_argument("-p", "--p", dest="p", type=ascii_int, required=True, help="odd prime")
     if with_n:
-        sub.add_argument("-n", "--n", dest="n", type=int, required=True, help="rank")
+        sub.add_argument("-n", "--n", dest="n", type=ascii_int, required=True, help="rank")
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
     sub.add_argument("--out", metavar="FILE", help="write the report to FILE")
 
@@ -95,7 +96,7 @@ def cmd_membership(args, cfg):
 
 
 def cmd_orbit(args, cfg):
-    start = tuple(int(c) for c in args.start.split(","))
+    start = tuple(ascii_int(c) for c in args.start.split(","))
     group = invariants.group_generators(cfg, args.group)
     size = invariants.orbit_size(cfg, group, start)
     payload = {
@@ -310,7 +311,7 @@ SUBCOMMANDS = {
         cmd_hilbert,
         [
             GROUP,
-            ("--max-degree", {"dest": "max_degree", "type": int, "required": True}),
+            ("--max-degree", {"dest": "max_degree", "type": ascii_int, "required": True}),
         ],
     ),
     "theorem-main": (
@@ -318,7 +319,7 @@ SUBCOMMANDS = {
         cmd_theorem_main,
         [
             ("--case", {"choices": ["pu", "rank3"]}),
-            ("--a-max", {"dest": "a_max", "type": int}),
+            ("--a-max", {"dest": "a_max", "type": ascii_int}),
         ],
     ),
     "chern-reg": ("c(reg) vs the alternating Dickson sum", cmd_chern_reg, []),
@@ -328,7 +329,7 @@ SUBCOMMANDS = {
     "e8-adjoint": (
         "restricted rank-248 Chern series report",
         cmd_e8_adjoint,
-        [("--trunc", {"type": int, "default": 4})],
+        [("--trunc", {"type": ascii_int, "default": 4})],
     ),
 }
 

@@ -1,4 +1,4 @@
-"""Exception types and the desk-scale guards shared across the package."""
+"""Exception types, the desk-scale guards and the CLI's integer reader."""
 
 
 class ConfigMismatchError(ValueError):
@@ -19,6 +19,20 @@ class ResourceGuardError(RuntimeError):
 
 DESK_SCALE_POINTS = 400  # refuse group-size work beyond p^n of this size
 DESK_SCALE_BYTES = 1 << 30  # refuse work whose estimated peak exceeds this
+
+
+def ascii_int(text):
+    """The integer that text spells as [+-]?[0-9]+, surrounding whitespace aside.
+
+    int() alone also reads other scripts' digits ("\u0663") and underscores
+    ("9_7"); every integer the CLI reads from its options or a weights file
+    comes through here instead.
+    """
+    word = text.strip()
+    digits = word[1:] if word[:1] in ("+", "-") else word
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an ASCII integer")
+    return int(word)
 
 
 def guard(needed, bound, message):

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from milnorq import algebra, chern, invariants
+from milnorq import algebra, chern, invariants, torus
 from milnorq.cli import build_parser, main
 
 
@@ -280,6 +280,106 @@ class TestExitCodes:
         # int() reads Arabic-Indic digits, and str.isdigit() accepts "²"
         argv = ["apply", "-p", "3", "-n", "2", "--ops", ops, "--expr", expr]
         assert run(capsys, argv) == (2, "", message + "\n")
+
+    @pytest.mark.parametrize(
+        "argv, weights, message",
+        [
+            (
+                ["dickson", "-p", "\u0663", "-n", "\u0662"],
+                None,
+                "usage: milnorq dickson [-h] -p P -n N [--json] [--out FILE]\n"
+                "milnorq dickson: error: argument -p/--p: invalid ascii_int value: "
+                "'\u0663'",
+            ),
+            (
+                ["dickson", "-p", "3", "-n", "\u0662"],
+                None,
+                "usage: milnorq dickson [-h] -p P -n N [--json] [--out FILE]\n"
+                "milnorq dickson: error: argument -n/--n: invalid ascii_int value: "
+                "'\u0662'",
+            ),
+            (
+                ["dickson", "-p", "9_7", "-n", "2"],
+                None,
+                "usage: milnorq dickson [-h] -p P -n N [--json] [--out FILE]\n"
+                "milnorq dickson: error: argument -p/--p: invalid ascii_int value: '9_7'",
+            ),
+            (
+                ["orbit", "-p", "5", "-n", "2", "--group", "gl", "--start", "\u0661,0"],
+                None,
+                "error: '\u0661' is not an ASCII integer",
+            ),
+            (
+                ["chern-rep", "-p", "3", "-n", "2"],
+                "\u0661,0 x2\n",
+                "error: line 1: bad weight '\u0661,0'",
+            ),
+            (
+                ["mu", "-p", "3", "-n", "2"],
+                "\u0661,0 x\u0662\n",
+                "error: line 1: bad multiplicity 'x\u0662'",
+            ),
+            (
+                ["e8-adjoint", "-p", "3", "--trunc", "\u0664"],
+                None,
+                "usage: milnorq e8-adjoint [-h] -p P [--json] [--out FILE] "
+                "[--trunc TRUNC]\n"
+                "milnorq e8-adjoint: error: argument --trunc: invalid ascii_int "
+                "value: '\u0664'",
+            ),
+            (
+                ["hilbert", "-p", "3", "-n", "2", "--group", "sl", "--max-degree", "\u0664"],
+                None,
+                "usage: milnorq hilbert [-h] -p P -n N [--json] [--out FILE] --group {sl,gl}\n"
+                "                       --max-degree MAX_DEGREE\n"
+                "milnorq hilbert: error: argument --max-degree: invalid ascii_int "
+                "value: '\u0664'",
+            ),
+            (
+                ["theorem-main", "-p", "3", "-n", "2", "--a-max", "\u0664"],
+                None,
+                "usage: milnorq theorem-main [-h] -p P -n N [--json] [--out FILE]\n"
+                "                            [--case {pu,rank3}] [--a-max A_MAX]\n"
+                "milnorq theorem-main: error: argument --a-max: invalid ascii_int "
+                "value: '\u0664'",
+            ),
+        ],
+        ids=[
+            "prime",
+            "rank",
+            "underscore",
+            "orbit-start",
+            "weight-coordinate",
+            "weight-multiplicity",
+            "trunc",
+            "max-degree",
+            "a-max",
+        ],
+    )
+    def test_integers_are_ascii_only(
+        self, capsys, monkeypatch, tmp_path, argv, weights, message
+    ):
+        # int() reads Arabic-Indic digits and underscores; argparse wraps
+        # its usage line to the terminal width, fixed here at 80 columns
+        monkeypatch.setenv("COLUMNS", "80")
+        if weights is not None:
+            path = tmp_path / "weights.txt"
+            path.write_text(weights, encoding="utf-8")
+            argv = argv + ["--weights", str(path)]
+        assert run(capsys, argv) == (2, "", message + "\n")
+
+    def test_e8_adjoint_refuses_a_trunc_beyond_the_dimension(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the guard let the series start")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(torus, "chern_series", unreachable)
+            code, out, err = run(capsys, ["e8-adjoint", "-p", "3", "--trunc", "241"])
+        assert (code, out) == (2, "")
+        assert err == "resource guard: trunc 241 exceeds the character's dimension 240\n"
+        code, out, err = run(capsys, ["e8-adjoint", "-p", "3", "--trunc", "240", "--json"])
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["series"]) == 241
 
     @pytest.mark.parametrize("extra", [[], ["--json"]])
     def test_hilbert_rejects_a_negative_max_degree(self, capsys, monkeypatch, extra):

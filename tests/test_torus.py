@@ -1,170 +1,146 @@
+import itertools
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from milnorq import (
     ConsistencyError,
-    IntSeries,
-    LaurentChar,
-    ResourceGuardError,
     chern_series,
     e8_adjoint_check,
-    elementary_symmetric_char,
     restrict_to_circle,
-    spin_plus_char,
+    torus,
 )
-from milnorq.torus import SPIN_RANK_BOUND
+from milnorq.torus import e8_roots
+
+E1 = (1, 0, 0, 0, 0, 0, 0, 0)
 
 
-def doubled_generators(rank):
-    return [
-        LaurentChar.z(rank, i, 2) + LaurentChar.z(rank, i, -2) for i in range(rank)
-    ]
+def dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
 
 
-class TestLaurentChar:
-    def test_dimension_and_product(self):
-        a = LaurentChar.z(2, 0) + LaurentChar.z(2, 0, -1)
-        b = LaurentChar.z(2, 1) + LaurentChar.z(2, 1, -1)
-        assert a.dimension == b.dimension == 2
-        prod = a * b
-        assert prod.dimension == 4
-        assert prod == LaurentChar(
-            2, {(1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1}
-        )
+def roots():
+    d8, spin = e8_roots()
+    return d8 + spin
 
-    def test_rank_mismatch(self):
-        with pytest.raises(ValueError):
-            LaurentChar.z(2, 0) * LaurentChar.z(3, 0)
-        with pytest.raises(ValueError):
-            LaurentChar.z(2, 0) + LaurentChar.z(3, 0)
 
-    def test_multiplicities_positive(self):
-        with pytest.raises(ValueError):
-            LaurentChar(1, {(0,): 0})
+def times(a, b, trunc):
+    """The product of two coefficient lists, up to u^trunc."""
+    return [sum(a[k] * b[d - k] for k in range(d + 1)) for d in range(trunc + 1)]
+
+
+class TestE8Roots:
+    def test_240_distinct_roots_of_norm_8(self):
+        all_roots = roots()
+        assert len(all_roots) == len(set(all_roots)) == 240
+        # doubled coordinates scale the norm^2 of 2 by 4
+        assert {dot(r, r) for r in all_roots} == {8}
+
+    def test_closed_under_every_reflection(self):
+        # s_a(x) = x - 2<a, x>/<a, a> a = x - <a, x>/4 a, since <a, a> = 8
+        all_roots = set(roots())
+        for a in all_roots:
+            for x in all_roots:
+                assert dot(a, x) % 4 == 0
+                k = dot(a, x) // 4
+                assert tuple(xi - k * ai for xi, ai in zip(x, a)) in all_roots
+
+    @given(
+        st.lists(st.integers(-50, 50), min_size=8, max_size=8),
+        st.lists(st.integers(-50, 50), min_size=8, max_size=8),
+    )
+    def test_killing_form(self, x, y):
+        # sum_a <a, x><a, y> = 2h^v (x, y) with h^v = 30, times 4 for the
+        # doubled roots
+        assert sum(dot(a, x) * dot(a, y) for a in roots()) == 240 * dot(x, y)
 
 
 class TestElementarySymmetric:
-    def test_degree_two_cross_product(self):
-        a = LaurentChar.z(2, 0) + LaurentChar.z(2, 0, -1)
-        b = LaurentChar.z(2, 1) + LaurentChar.z(2, 1, -1)
-        assert elementary_symmetric_char(2, [a, b]) == a * b
-
-    def test_degree_one_is_the_sum(self):
-        items = doubled_generators(3)
-        total = items[0] + items[1] + items[2]
-        assert elementary_symmetric_char(1, items) == total
-
-    def test_generating_function_oracle(self):
-        # prod (1 + item*X) expanded degreewise must reproduce every e_k
-        items = doubled_generators(4)
-        rank = 4
-        coeffs = [LaurentChar.one(rank)]
-        for item in items:
-            new = []
-            for k in range(len(coeffs) + 1):
-                parts = []
-                if k < len(coeffs):
-                    parts.append(coeffs[k])
-                if k > 0:
-                    parts.append(coeffs[k - 1] * item)
-                total = parts[0]
-                for extra in parts[1:]:
-                    total = total + extra
-                new.append(total)
-            coeffs = new
-        for k in range(5):
-            assert elementary_symmetric_char(k, items) == coeffs[k]
-
     def test_restriction_of_the_rank_eight_character(self):
-        lam = elementary_symmetric_char(2, doubled_generators(8))
-        assert lam.dimension == 112
-        assert restrict_to_circle(lam, 0) == LaurentChar(
-            1, {(0,): 84, (2,): 14, (-2,): 14}
+        # e_2 of the eight z_i^2 + z_i^(-2), as exponent vectors: the D8 part
+        items = [[tuple(s * (k == i) for k in range(8)) for s in (2, -2)] for i in range(8)]
+        e2 = Counter(
+            tuple(a + b for a, b in zip(u, v))
+            for x, y in itertools.combinations(items, 2)
+            for u in x
+            for v in y
         )
-
-    def test_bad_k(self):
-        with pytest.raises(ValueError):
-            elementary_symmetric_char(3, doubled_generators(2))
+        d8, _ = e8_roots()
+        assert sum(e2.values()) == 112
+        assert e2 == Counter(d8)
+        assert restrict_to_circle(d8, E1) == {0: 84, 2: 14, -2: 14}
 
 
 class TestSpinPlus:
-    def test_rank_two(self):
-        assert spin_plus_char(2) == LaurentChar(2, {(1, 1): 1, (-1, -1): 1})
-
     def test_rank_eight_dimension(self):
-        spin = spin_plus_char(8)
-        assert spin.dimension == 128
-        assert all(m == 1 for _, m in spin.items())
+        _, spin = e8_roots()
+        assert len(spin) == len(set(spin)) == 128
+        assert all(math.prod(s) == 1 for s in spin)
 
     def test_restriction(self):
-        assert restrict_to_circle(spin_plus_char(8), 0) == LaurentChar(
-            1, {(1,): 64, (-1,): 64}
-        )
+        _, spin = e8_roots()
+        assert restrict_to_circle(spin, E1) == {1: 64, -1: 64}
 
     def test_fixed_by_double_sign_flips(self):
-        spin = spin_plus_char(6)
-        flipped = {}
-        for v, m in spin.terms.items():
-            w = (-v[0], -v[1]) + v[2:]
-            flipped[w] = flipped.get(w, 0) + m
-        assert LaurentChar(6, flipped) == spin
-
-    def test_rank_bound(self):
-        assert len(spin_plus_char(SPIN_RANK_BOUND).terms) == 2 ** (SPIN_RANK_BOUND - 1)
-        with pytest.raises(ResourceGuardError, match="sign-vector expansion is 12$"):
-            spin_plus_char(SPIN_RANK_BOUND + 1)
+        _, spin = e8_roots()
+        for i, j in itertools.combinations(range(8), 2):
+            flipped = {
+                tuple(-e if k in (i, j) else e for k, e in enumerate(s)) for s in spin
+            }
+            assert flipped == set(spin)
 
 
 class TestRestrict:
     def test_rank_one_unchanged(self):
-        chi = LaurentChar(1, {(3,): 2, (-1,): 1})
-        assert restrict_to_circle(chi, 0) == chi
+        assert restrict_to_circle([(3,), (-1,), (3,)], (1,)) == {3: 2, -1: 1}
 
     def test_bad_coordinate(self):
         with pytest.raises(ValueError):
-            restrict_to_circle(LaurentChar.one(2), 2)
+            restrict_to_circle([(0, 0)], (1,))
+        with pytest.raises(ValueError):
+            restrict_to_circle([(1,)], (1, 0))
 
 
 class TestIntSeries:
     def test_truncated_product(self):
-        a = IntSeries([1, 1], 3)
-        assert a * a == IntSeries([1, 2, 1, 0], 3)
-        assert a**3 == IntSeries([1, 3, 3, 1], 3)
+        assert chern_series({1: 2}, 3) == [1, 2, 1, 0]
+        assert chern_series({1: 3}, 3) == [1, 3, 3, 1]
+        assert chern_series({1: 3}, 2) == [1, 3, 3]
 
     def test_exact_big_integers(self):
-        s = IntSeries([1, 1], 40) ** 64
-        assert s.coeffs[32] == math.comb(64, 32)
+        assert chern_series({1: 64}, 40)[32] == math.comb(64, 32)
 
 
 class TestChernSeries:
     def test_single_weight(self):
-        chi = LaurentChar(1, {(1,): 1})
-        assert chern_series(chi, 3) == IntSeries([1, 1, 0, 0], 3)
+        assert chern_series({1: 1}, 3) == [1, 1, 0, 0]
 
     def test_headline_weights(self):
-        chi = LaurentChar(1, {(0,): 84, (2,): 14, (-2,): 14, (1,): 64, (-1,): 64})
-        series = chern_series(chi, 4)
-        assert series.coeffs == [1, 0, -120, 0, 7056]
+        series = chern_series({0: 84, 2: 14, -2: 14, 1: 64, -1: 64}, 4)
+        assert series == [1, 0, -120, 0, 7056]
         # independent check of the u^4 coefficient from the factored form
         c4 = math.comb(14, 2) * 16 + 14 * 4 * 64 + math.comb(64, 2)
-        assert series.coeffs[4] == c4
+        assert series[4] == c4
 
     def test_symmetric_characters_have_even_series(self):
-        chi = LaurentChar(1, {(2,): 3, (-2,): 3, (1,): 5, (-1,): 5})
-        series = chern_series(chi, 9)
-        assert all(c == 0 for c in series.coeffs[1::2])
+        series = chern_series({2: 3, -2: 3, 1: 5, -1: 5}, 9)
+        assert all(c == 0 for c in series[1::2])
 
     def test_whitney(self):
-        a = LaurentChar(1, {(1,): 2, (-2,): 1})
-        b = LaurentChar(1, {(3,): 1, (0,): 4})
-        assert chern_series(a + b, 6) == chern_series(a, 6) * chern_series(b, 6)
+        a = {1: 2, -2: 1}
+        b = {3: 1, 0: 4}
+        both = chern_series({**a, **b}, 6)
+        assert both == times(chern_series(a, 6), chern_series(b, 6), 6)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            chern_series(LaurentChar.one(2), 4)
-        with pytest.raises(ValueError):
-            chern_series(LaurentChar.one(1), 1)
+            chern_series({1: 1}, 1)
+        for mult in (-1, 2.0, "2", None):
+            with pytest.raises(ValueError):
+                chern_series({1: mult}, 4)
 
 
 class TestAdjointReport:
@@ -200,3 +176,13 @@ class TestAdjointReport:
             e8_adjoint_check(7)
         with pytest.raises(ValueError):
             e8_adjoint_check(3, trunc=3)
+
+    def test_a_wrong_root_list_is_caught(self, monkeypatch):
+        d8, spin = e8_roots()
+        odd = (-spin[0][0],) + spin[0][1:]  # an odd number of minus signs
+        monkeypatch.setattr(torus, "e8_roots", lambda: (d8, (odd,) + spin[1:]))
+        with pytest.raises(ConsistencyError, match="restricted half-spin character"):
+            e8_adjoint_check(3)
+        monkeypatch.setattr(torus, "e8_roots", lambda: (d8[:-1], spin))
+        with pytest.raises(ConsistencyError, match="dimension 111 != 112"):
+            e8_adjoint_check(3)
