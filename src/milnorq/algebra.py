@@ -434,7 +434,6 @@ def _shear_factors(rows, p):
     return tuple(shears), tuple(pivot_of), tuple(a[k][pivot_of[k]] for k in range(n))
 
 
-@lru_cache(maxsize=4096)
 def _binomials_mod_p(a, kmax, p):
     """The pairs (k, C(a, k) mod p), ascending, for k <= kmax and C(a, k) != 0 mod p.
 
@@ -470,6 +469,7 @@ def _lucas_count(a, p):
 def _shear(parts, i, j, c, p):
     """parts under the shear (i, j, c), by the rules in the module docstring."""
     powers = [pow(c, k, p) for k in range(p - 1)]
+    rows = {}  # a -> its Lucas row, kept for this call only: a row can be long
     out = {}
     for mask, poly in parts.items():
         image = {}
@@ -477,7 +477,10 @@ def _shear(parts, i, j, c, p):
         for mono, coeff in poly.items():
             a, b = mono[i], mono[j]
             m = list(mono)
-            for k, binom in _binomials_mod_p(a, a, p):
+            row = rows.get(a)
+            if row is None:
+                row = rows[a] = _binomials_mod_p(a, a, p)
+            for k, binom in row:
                 m[i], m[j] = a - k, b + k
                 key = tuple(m)
                 image[key] = get(key, 0) + coeff * binom * powers[k % (p - 1)]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 # modules, not their functions: a module runs on its first use (see
 # milnorq/__init__.py), so a call that needs neither runs neither
@@ -48,10 +49,13 @@ class WeightMultiset:
         for v, m in weights.items() if isinstance(weights, dict) else weights:
             if len(v) != cfg.n:
                 raise ValueError(f"weight {v} has wrong length")
-            m = int(m)
+            try:  # ints only: int() would truncate 1.7 to 1
+                m = operator.index(m)
+                key = tuple(operator.index(c) % p for c in v)
+            except TypeError:
+                raise ValueError(f"weight {v!r} x {m!r} is not integral") from None
             if m < 1:
                 raise ValueError(f"multiplicity {m} must be >= 1")
-            key = tuple(int(c) % p for c in v)
             merged[key] = merged.get(key, 0) + m
         self.cfg = cfg
         self.weights = merged
@@ -239,23 +243,24 @@ def power_of_regular(x):
     return a if total_chern(regular_representation(cfg)) ** a == x else None
 
 
-def image_generator(cfg, case):
-    """The polynomial class the obstruction argument runs on.
+# n -> (the case of the obstruction argument, the Q-word applied to
+# dt_1...dt_n): PU_p for n = 2 and rank 3 for n = 3, both giving e_n
+CASES = {
+    2: ("pu", (("Q", 0), ("Q", 1))),
+    3: ("rank3", (("Q", 1), ("Q", 2), ("Q", 0))),
+}
 
-    Case "pu" (n = 2): Q_0 Q_1 (dt_1 dt_2).  Case "rank3" (n = 3):
-    Q_1 Q_2 Q_0 (dt_1 dt_2 dt_3).  Both equal e_n.
-    """
-    case = case.lower()
-    if case == "pu":
-        if cfg.n != 2:
-            raise ValueError("case 'pu' requires n = 2")
-        word = [("Q", 0), ("Q", 1)]
-    elif case == "rank3":
-        if cfg.n != 3:
-            raise ValueError("case 'rank3' requires n = 3")
-        word = [("Q", 1), ("Q", 2), ("Q", 0)]
-    else:
-        raise ValueError(f"unknown case {case!r}; expected 'pu' or 'rank3'")
+
+def _case(cfg):
+    if cfg.n not in CASES:
+        raise ValueError("theorem-main needs n = 2 or n = 3")
+    return CASES[cfg.n]
+
+
+def image_generator(cfg):
+    """The polynomial class the obstruction argument runs on: the Q-word
+    of CASES applied to dt_1...dt_n, checked to equal e_n."""
+    _, word = _case(cfg)
     x = steenrod.apply_word(word, ExtClass.dt_top(cfg))
     if not x.is_polynomial():
         raise ConsistencyError("image generator is not a polynomial class")
@@ -264,12 +269,14 @@ def image_generator(cfg, case):
     return x
 
 
-def obstruction_table(cfg, case, a_max):
+def obstruction_table(cfg, a_max):
     """Rows (a, e_n^a is GL-invariant) for a = 1..a_max.
 
     GL-invariance of the polynomial power decides membership in D_n; the
-    expected pattern is invariance exactly when (p-1) | a.
+    expected pattern is invariance exactly when (p-1) | a.  A rank with no
+    case is refused first, then a_max by its range and its work.
     """
+    _case(cfg)
     if a_max < 1:
         raise ValueError("a_max must be >= 1")
     points = cfg.p**cfg.n
@@ -278,7 +285,7 @@ def obstruction_table(cfg, case, a_max):
         TABLE_WORK_BOUND,
         f"a_max = {a_max} at p^n = {points} exceeds the desk scale",
     )
-    e = image_generator(cfg, case)
+    e = image_generator(cfg)
     gl = invariants.group_generators(cfg, "GL")
     rows = []
     power = ExtClass.one(cfg)

@@ -49,7 +49,8 @@ def cmd_dickson(args, cfg):
     for idx, ci in enumerate(ds.c):
         i = cfg.n - 1 - idx
         lines.append(f"c{i} (degree {ci.degree():3d}) = {exprio.render_class(ci)}")
-    return 0, ds.to_json(), lines
+    payload = {"e": exprio.class_to_json(ds.e), "c": [exprio.class_to_json(ci) for ci in ds.c]}
+    return 0, payload, lines
 
 
 def cmd_moore(args, cfg):
@@ -98,7 +99,7 @@ def cmd_membership(args, cfg):
 def cmd_orbit(args, cfg):
     start = tuple(ascii_int(c) for c in args.start.split(","))
     group = invariants.group_generators(cfg, args.group)
-    size = invariants.orbit_size(cfg, group, start)
+    size = invariants.orbit_size(group, start)
     payload = {
         "group": args.group.upper(),
         "start": list(start),
@@ -116,7 +117,7 @@ def cmd_hilbert(args, cfg):
         invariants.check_invariant_matrix_bytes(cfg, d)  # refuse before any work
     rows = []
     for d in range(args.max_degree + 1):
-        dim, _ = invariants.invariant_dimension(cfg, d, group)
+        dim, _ = invariants.invariant_dimension(group, d)
         pred = invariants.predicted_dimension(cfg, d, ring)
         rows.append({"d": d, "computed": dim, "predicted": pred, "match": dim == pred})
     ok = all(row["match"] for row in rows)
@@ -138,19 +139,11 @@ def cmd_hilbert(args, cfg):
 
 
 def cmd_theorem_main(args, cfg):
-    case = args.case
-    if case is None:
-        if cfg.n == 2:
-            case = "pu"
-        elif cfg.n == 3:
-            case = "rank3"
-        else:
-            raise ValueError("theorem-main needs n = 2 or n = 3")
     a_max = args.a_max if args.a_max is not None else 2 * (cfg.p - 1)
-    table = chern.obstruction_table(cfg, case, a_max)
+    table = chern.obstruction_table(cfg, a_max)
     contract = all(in_d == (a % (cfg.p - 1) == 0) for a, in_d in table)
     payload = {
-        "case": case,
+        "case": chern.CASES[cfg.n][0],
         "rows": [{"a": a, "in_D": in_d} for a, in_d in table],
         "contract_holds": contract,
     }
@@ -240,7 +233,7 @@ def cmd_prop_iso(args, cfg):
     else:
         raise ValueError("prop-iso is defined for n = 2 or n = 3")
     sl = invariants.group_generators(cfg, "SL")
-    dim, basis = invariants.invariant_dimension(cfg, d, sl)
+    dim, basis = invariants.invariant_dimension(sl, d)
     ok = dim == 1 and basis[0] == expected
     payload = {
         "d": d,
@@ -317,10 +310,7 @@ SUBCOMMANDS = {
     "theorem-main": (
         "powers of e_n against D_n membership",
         cmd_theorem_main,
-        [
-            ("--case", {"choices": ["pu", "rank3"]}),
-            ("--a-max", {"dest": "a_max", "type": ascii_int}),
-        ],
+        [("--a-max", {"dest": "a_max", "type": ascii_int})],
     ),
     "chern-reg": ("c(reg) vs the alternating Dickson sum", cmd_chern_reg, []),
     "chern-rep": ("total Chern class of a weights file", cmd_chern_rep, [WEIGHTS]),
@@ -373,6 +363,17 @@ def main(argv=None):
         # every subcommand but e8-adjoint takes -n and works in one Config
         cfg = algebra.Config(args.p, args.n) if "n" in args else None
         code, payload, lines = args.handler(args, cfg)
+        if cfg is not None:  # every report in one Config leads with its p and n
+            payload = {"p": cfg.p, "n": cfg.n, **payload}
+        if args.json:
+            import json
+
+            text = json.dumps(payload)
+        else:
+            text = "\n".join(lines)
+        if args.out:  # a path that cannot be written is refused like any bad input
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -385,18 +386,7 @@ def main(argv=None):
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1
-    if cfg is not None:  # every report in one Config leads with its p and n
-        payload = {"p": cfg.p, "n": cfg.n, **payload}
-    if args.json:
-        import json
-
-        text = json.dumps(payload)
-    else:
-        text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    if not args.out:
         print(text)
     return code
 

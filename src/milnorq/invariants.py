@@ -52,20 +52,8 @@ def dickson_polynomial(cfg):
     return f
 
 
-class DicksonSet(namedtuple("DicksonSet", "cfg e c")):
-    """e_n together with (c_{n,n-1}, ..., c_{n,0})."""
-
-    __slots__ = ()
-
-    def to_json(self):
-        from .exprio import class_to_json
-
-        return {
-            "p": self.cfg.p,
-            "n": self.cfg.n,
-            "e": class_to_json(self.e),
-            "c": [class_to_json(ci) for ci in self.c],
-        }
+# e_n together with (c_{n,n-1}, ..., c_{n,0})
+DicksonSet = namedtuple("DicksonSet", "e c")
 
 
 def moore_class(cfg):
@@ -92,7 +80,7 @@ def dickson_classes(cfg):
     call returns.
     """
     ds = _dickson_set(cfg)
-    return DicksonSet(cfg, ds.e.copy(), tuple(ci.copy() for ci in ds.c))
+    return DicksonSet(ds.e.copy(), tuple(ci.copy() for ci in ds.c))
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
@@ -115,7 +103,7 @@ def _dickson_set(cfg):
         cs.append(ExtClass(cfg, {0: poly} if poly else {}).scale((-1) ** (n - i)))
     e = steenrod.apply_word([("Q", i) for i in range(n)], ExtClass.dt_top(cfg))
     _validate_dickson(cfg, e, cs)
-    return DicksonSet(cfg, e, tuple(cs))
+    return DicksonSet(e, tuple(cs))
 
 
 # as on a function wrapped by lru_cache: cache_info() counts the cache and
@@ -392,12 +380,13 @@ def decomposition_text(cfg, ring, decomposition):
     return " + ".join(pieces)
 
 
-def orbit_size(cfg, group, start):
+def orbit_size(group, start):
     """Cardinality of the orbit of a nonzero weight vector under the group.
 
     The search applies the generators alone: in a finite group the inverse
     of g is a positive power of g, so it reaches no vector that they miss.
     """
+    cfg = group.cfg
     p = cfg.p
     start = tuple(v % p for v in start)
     if len(start) != cfg.n:
@@ -455,18 +444,18 @@ def _grade_class(cfg, vec):
     return ExtClass(cfg, parts)
 
 
-def _moved(cfg, g, kern):
+def _moved(g, kern):
     """The matrix whose column j is g.v - v mod p, for v the j-th row of kern.
 
     Each g.v - v is a {(mask, mono): value} dict; the matrix holds one row
     per basis element that some column reaches.
     """
-    p = cfg.p
+    p = g.cfg.p
     rows = {}
     for j, vec in enumerate(kern):
         moved = {
             (mask, mono): c
-            for mask, poly in substitute_linear(g, _grade_class(cfg, vec)).parts.items()
+            for mask, poly in substitute_linear(g, _grade_class(g.cfg, vec)).parts.items()
             for mono, c in poly.items()
         }
         for key, c in add_into(moved, vec, -1, p).items():
@@ -474,7 +463,7 @@ def _moved(cfg, g, kern):
     return linalg.Matrix(list(rows.values()), len(kern))
 
 
-def invariant_dimension(cfg, d, group):
+def invariant_dimension(group, d):
     """Dimension and echelonized basis of the degree-d invariants.
 
     The basis spans the simultaneous kernel of (g - id) over all generators
@@ -495,13 +484,14 @@ def invariant_dimension(cfg, d, group):
     first, so together they give the reduced echelon basis of the whole
     kernel.
     """
+    cfg = group.cfg
     check_invariant_matrix_bytes(cfg, d)
     p = cfg.p
     classes = []
     for masks, m in _grades(cfg, d):
         kern = [{key: 1} for key in _grade_basis(cfg.n, masks, m)]
         for g in group.generators:
-            combos = linalg.kernel_basis(_moved(cfg, g, kern), p)
+            combos = linalg.kernel_basis(_moved(g, kern), p)
             if not combos:
                 break
             # kernel_basis returns reduced echelon rows, and a product of

@@ -230,8 +230,9 @@ def degree_basis_sorted(cfg, d):
     return basis
 
 
-def invariant_dimension_stacked(cfg, d, group):
+def invariant_dimension_stacked(group, d):
     """invariant_dimension as the kernel of all dense (g - id) blocks stacked."""
+    cfg = group.cfg
     basis = degree_basis_sorted(cfg, d)
     if not basis:
         return 0, []

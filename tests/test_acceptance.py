@@ -113,9 +113,8 @@ def test_criterion_04_obstruction_pattern():
     with criterion(4, "e^a in D_n exactly when (p-1) | a"):
         for p, n in [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3)]:
             cfg = Config(p, n)
-            case = "pu" if n == 2 else "rank3"
             t0 = time.perf_counter()
-            table = obstruction_table(cfg, case, 2 * (p - 1))
+            table = obstruction_table(cfg, 2 * (p - 1))
             assert table == [
                 (a, a % (p - 1) == 0) for a in range(1, 2 * (p - 1) + 1)
             ], (p, n)
@@ -126,11 +125,11 @@ def test_criterion_05_low_degree_invariant_bases():
     with criterion(5, "one-dimensional low-degree invariant spaces"):
         for p in (3, 5, 7):
             cfg = Config(p, 2)
-            dim, basis = invariant_dimension(cfg, 2, group_generators(cfg, "SL"))
+            dim, basis = invariant_dimension(group_generators(cfg, "SL"), 2)
             assert dim == 1 and basis == [ExtClass.dt_top(cfg)], p
         for p in (3, 5):
             cfg = Config(p, 3)
-            dim, basis = invariant_dimension(cfg, 4, group_generators(cfg, "SL"))
+            dim, basis = invariant_dimension(group_generators(cfg, "SL"), 4)
             assert dim == 1 and basis == [milnor_q(0, ExtClass.dt_top(cfg))], p
 
 
@@ -140,7 +139,7 @@ def test_criterion_06_free_module_desk_check():
             cfg = Config(p, n)
             sl = group_generators(cfg, "SL")
             for d in range(dmax + 1):
-                dim, _ = invariant_dimension(cfg, d, sl)
+                dim, _ = invariant_dimension(sl, d)
                 assert dim == predicted_dimension(cfg, d, "SM"), (p, n, d)
 
 
@@ -149,9 +148,9 @@ def test_criterion_07_transitivity():
         for p, n in [(3, 2), (5, 2), (3, 3), (5, 3)]:
             cfg = Config(p, n)
             start = (1,) + (0,) * (n - 1)
-            assert orbit_size(cfg, group_generators(cfg, "SL"), start) == p**n - 1
+            assert orbit_size(group_generators(cfg, "SL"), start) == p**n - 1
         cfg = Config(3, 1)
-        assert orbit_size(cfg, group_generators(cfg, "SL"), (1,)) == 1
+        assert orbit_size(group_generators(cfg, "SL"), (1,)) == 1
 
 
 def test_criterion_08_divisibility_suite():

@@ -1,6 +1,8 @@
 import copy
+import gc
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -391,6 +393,23 @@ class TestShearFactors:
         # Lucas: C(a, k) != 0 mod p for exactly prod_d (a_d + 1) values of k
         for a in (0, 1, p - 1, p, p * p - 1, 2 * p**3 + 5, 10_000):
             assert _lucas_count(a, p) == len(_binomials_mod_p(a, a, p))
+
+    def test_shear_keeps_no_lucas_row_after_it_returns(self):
+        # t1^(3^10 - 1) under E_12(1) expands into 3^10 terms through one
+        # Lucas row of 3^10 pairs; a cache of rows kept 5.7 MB of it
+        cfg = Config(3, 2)
+        x = ExtClass.from_terms(cfg, [(0, (3**10 - 1, 0), 1)])
+        g = LinearSubst.transvection(cfg, 1, 2)
+        tracemalloc.start()
+        try:
+            y = substitute_linear(g, x)
+            assert len(y.parts[0]) == 3**10
+            del y
+            gc.collect()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak > 4 << 20 and kept < 1 << 18
 
     def test_shear_is_priced_at_its_term_count(self, monkeypatch):
         # t1^26 dt1 under E_12(1): 26 = 222 in base 3, so 27 terms with dt1

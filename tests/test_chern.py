@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +61,14 @@ class TestWeightMultiset:
         cfg = Config(3, 2)
         with pytest.raises(ValueError):
             WeightMultiset(cfg, {(1, 0): 0})
+
+    def test_non_integers_are_refused(self):
+        # int() would read {(1.7, 0.2): 2.9} as {(1, 0): 2}
+        cfg = Config(3, 2)
+        for weights in ({(1.7, 0.2): 2.9}, {(1, 0): 2.0}, {(1.0, 0): 2}, {("1", 0): 1}):
+            with pytest.raises(ValueError, match="is not integral"):
+                WeightMultiset(cfg, weights)
+        assert WeightMultiset(cfg, {(np.int64(4), 0): np.int32(2)}).weights == {(1, 0): 2}
 
     def test_parse_weights_text(self):
         cfg = Config(3, 3)
@@ -334,62 +343,65 @@ class TestTransitiveInvariantMultisets:
 class TestImageGenerator:
     def test_rank_two_case(self):
         cfg = Config(3, 2)
-        x = image_generator(cfg, "pu")
+        x = image_generator(cfg)
         assert x == moore_class(cfg)
         assert x.degree() == 2 * cfg.p + 2
 
     @pytest.mark.parametrize("p,degree", [(3, 26), (5, 62)])
     def test_rank_three_case(self, p, degree):
         cfg = Config(p, 3)
-        x = image_generator(cfg, "rank3")
+        x = image_generator(cfg)
         assert x == moore_class(cfg)
         assert x.degree() == degree
         assert x.is_polynomial()
 
     def test_wrong_rank_rejected(self):
-        with pytest.raises(ValueError):
-            image_generator(Config(3, 3), "pu")
-        with pytest.raises(ValueError):
-            image_generator(Config(3, 2), "rank3")
-        with pytest.raises(ValueError):
-            image_generator(Config(3, 2), "su")
+        # the case is the rank's: only n = 2 and n = 3 have one
+        assert {n: name for n, (name, _) in chern.CASES.items()} == {2: "pu", 3: "rank3"}
+        for n in (1, 4):
+            with pytest.raises(ValueError, match=r"^theorem-main needs n = 2 or n = 3$"):
+                image_generator(Config(3, n))
 
 
 class TestObstructionTable:
     def test_rank_two_pattern(self):
         cfg = Config(3, 2)
-        table = obstruction_table(cfg, "pu", 4)
+        table = obstruction_table(cfg, 4)
         assert table == [(1, False), (2, True), (3, False), (4, True)]
 
     def test_membership_at_the_first_invariant_power(self):
         cfg = Config(5, 3)
-        table = obstruction_table(cfg, "rank3", 4)
+        table = obstruction_table(cfg, 4)
         assert [in_d for _, in_d in table] == [False, False, False, True]
-        e = image_generator(cfg, "rank3")
+        e = image_generator(cfg)
         assert membership_dickson(e**4, "D") == {(0, 0, 1): 1}
 
     def test_seven_two_pattern(self):
         cfg = Config(7, 2)
-        table = obstruction_table(cfg, "pu", 6)
+        table = obstruction_table(cfg, 6)
         assert [in_d for _, in_d in table] == [False] * 5 + [True]
 
     def test_guards(self):
         cfg = Config(3, 2)
         with pytest.raises(ValueError):
-            obstruction_table(cfg, "pu", 0)
+            obstruction_table(cfg, 0)
         with pytest.raises(ResourceGuardError):
-            obstruction_table(cfg, "pu", 10_000)
+            obstruction_table(cfg, 10_000)
+        # a rank with no case is refused before a_max is priced
+        for a_max in (0, 10**9):
+            with pytest.raises(ValueError, match=r"^theorem-main needs n = 2 or n = 3$"):
+                obstruction_table(Config(97, 4), a_max)
 
     def test_work_bound(self, monkeypatch):
         # a_max * p^n at the bound starts the table; one more is refused
         cfg = Config(5, 2)
         assert 800 * 25 == chern.TABLE_WORK_BOUND
 
-        def started(cfg, case):
+        def started(cfg):
             raise LookupError("table started")
 
         monkeypatch.setattr(chern, "image_generator", started)
         with pytest.raises(LookupError, match="table started"):
-            obstruction_table(cfg, "pu", 800)
+            obstruction_table(cfg, 800)
         with pytest.raises(ResourceGuardError, match=r"^a_max = 801 at p\^n = 25 exceeds"):
-            obstruction_table(cfg, "pu", 801)
+            obstruction_table(cfg, 801)

@@ -339,7 +339,7 @@ class TestExitCodes:
                 ["theorem-main", "-p", "3", "-n", "2", "--a-max", "\u0664"],
                 None,
                 "usage: milnorq theorem-main [-h] -p P -n N [--json] [--out FILE]\n"
-                "                            [--case {pu,rank3}] [--a-max A_MAX]\n"
+                "                            [--a-max A_MAX]\n"
                 "milnorq theorem-main: error: argument --a-max: invalid ascii_int "
                 "value: '\u0664'",
             ),
@@ -392,6 +392,24 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "max degree must be non-negative" in err
+
+    @pytest.mark.parametrize("p, n", [(3, 4), (97, 4), (3, 1)])
+    def test_theorem_main_reads_its_case_off_n(self, capsys, p, n):
+        # no case for this rank; at (97, 4) the work bound is not reached
+        code, out, err = run(capsys, ["theorem-main", "-p", str(p), "-n", str(n)])
+        assert (code, out, err) == (2, "", "error: theorem-main needs n = 2 or n = 3\n")
+
+    def test_theorem_main_has_no_case_option(self, capsys):
+        code, out, err = run(capsys, ["theorem-main", "-p", "3", "-n", "2", "--case", "pu"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --case pu" in err
+
+    @pytest.mark.parametrize("where", ["directory", "missing-directory"])
+    def test_unwritable_out_is_refused(self, capsys, tmp_path, where):
+        target = tmp_path if where == "directory" else tmp_path / "missing" / "report.txt"
+        code, out, err = run(capsys, ["dickson", "-p", "3", "-n", "2", "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno ") and err.endswith(f"'{target}'\n")
 
     def test_bad_prime(self, capsys):
         assert run(capsys, ["dickson", "-p", "4", "-n", "2"])[0] == 2
@@ -455,8 +473,20 @@ class TestOutputContract:
                 first = run(capsys, argv + extra)
                 assert first[0] == 0 and first[1], argv + extra
                 assert run(capsys, argv + extra) == first, argv + extra
-                if extra and "-n" in argv:
-                    assert list(json.loads(first[1]))[:2] == ["p", "n"], argv
+
+    @pytest.mark.parametrize("call", EVERY_SUBCOMMAND, ids=[c[0] for c in EVERY_SUBCOMMAND])
+    def test_out_file_holds_the_printed_bytes(self, capsys, tmp_path, call):
+        weights = tmp_path / "weights.txt"
+        weights.write_text("1,0 x2\n0,1\n1,1\n")
+        argv = [str(weights) if a == "WEIGHTS" else a for a in call]
+        target = tmp_path / "report"
+        for extra in ([], ["--json"]):
+            code, printed, _ = run(capsys, argv + extra)
+            assert code == 0 and printed, argv + extra
+            assert run(capsys, argv + extra + ["--out", str(target)]) == (0, "", "")
+            assert target.read_bytes() == printed.encode("utf-8"), argv + extra
+            if extra and call[0] != "e8-adjoint":
+                assert list(json.loads(printed))[:2] == ["p", "n"], argv
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

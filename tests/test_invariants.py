@@ -83,6 +83,7 @@ class TestDicksonClasses:
     def test_rank_one(self):
         cfg = Config(3, 1)
         ds = dickson_classes(cfg)
+        assert ds._fields == ("e", "c")
         assert ds.e == ExtClass.t(cfg, 1)
         assert list(ds.c) == [ExtClass.t(cfg, 1) ** 2]
 
@@ -143,13 +144,6 @@ class TestDicksonClasses:
             for _ in range(5):
                 g = random_subst(rng, cfg)
                 assert substitute_linear(g, ds.e) == ds.e.scale(g.det)
-
-    def test_json_shape(self):
-        cfg = Config(3, 1)
-        data = dickson_classes(cfg).to_json()
-        assert data["p"] == 3 and data["n"] == 1
-        assert data["e"]["terms"] == [{"coeff": 1, "exps": [1], "dts": []}]
-        assert len(data["c"]) == 1
 
 
 class TestMoore:
@@ -293,8 +287,8 @@ class TestAgainstTheTransvectionSet:
         cfg = Config(p, n)
         ours, reference = group_generators(cfg, kind), transvection_group(cfg, kind)
         for d in range(dmax + 1):
-            got = invariant_dimension(cfg, d, ours)
-            assert got == invariant_dimension(cfg, d, reference), d
+            got = invariant_dimension(ours, d)
+            assert got == invariant_dimension(reference, d), d
 
     @pytest.mark.parametrize("p, n", [(3, 3), (5, 2)])
     def test_orbit_sizes(self, p, n):
@@ -303,7 +297,7 @@ class TestAgainstTheTransvectionSet:
             ours, reference = group_generators(cfg, kind), transvection_group(cfg, kind)
             for start in itertools.product(range(p), repeat=n):
                 if any(start):
-                    assert orbit_size(cfg, ours, start) == orbit_size(cfg, reference, start)
+                    assert orbit_size(ours, start) == orbit_size(reference, start)
 
 
 class TestInvariance:
@@ -512,19 +506,19 @@ class TestMembership:
 
 class TestOrbits:
     def test_transitive_cases(self):
-        assert orbit_size(Config(3, 2), group_generators(Config(3, 2), "SL"), (1, 0)) == 8
+        assert orbit_size(group_generators(Config(3, 2), "SL"), (1, 0)) == 8
         cfg = Config(5, 3)
-        assert orbit_size(cfg, group_generators(cfg, "SL"), (1, 0, 0)) == 124
+        assert orbit_size(group_generators(cfg, "SL"), (1, 0, 0)) == 124
 
     def test_rank_one_is_not_transitive(self):
         cfg = Config(3, 1)
-        assert orbit_size(cfg, group_generators(cfg, "SL"), (1,)) == 1
-        assert orbit_size(cfg, group_generators(cfg, "GL"), (1,)) == 2
+        assert orbit_size(group_generators(cfg, "SL"), (1,)) == 1
+        assert orbit_size(group_generators(cfg, "GL"), (1,)) == 2
 
     def test_zero_vector_rejected(self):
         cfg = Config(3, 2)
         with pytest.raises(ValueError):
-            orbit_size(cfg, group_generators(cfg, "SL"), (0, 0))
+            orbit_size(group_generators(cfg, "SL"), (0, 0))
 
     def test_takes_no_inverse(self, monkeypatch):
         # in a finite group each inverse is a positive power of its generator
@@ -537,22 +531,22 @@ class TestOrbits:
             for kind in ("SL", "GL"):
                 group = group_generators(cfg, kind)
                 for start in [(1,) + (0,) * (n - 1), (0,) * (n - 2) + (1, 2)]:
-                    assert orbit_size(cfg, group, start) == p**n - 1
+                    assert orbit_size(group, start) == p**n - 1
         cfg = Config(5, 1)
-        assert orbit_size(cfg, group_generators(cfg, "GL"), (2,)) == 4
+        assert orbit_size(group_generators(cfg, "GL"), (2,)) == 4
 
 
 class TestInvariantDimension:
     def test_degree_two_rank_two(self):
         cfg = Config(3, 2)
-        dim, basis = invariant_dimension(cfg, 2, group_generators(cfg, "SL"))
+        dim, basis = invariant_dimension(group_generators(cfg, "SL"), 2)
         assert dim == 1
         assert basis == [ExtClass.dt_top(cfg)]
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_degree_four_rank_three(self, p):
         cfg = Config(p, 3)
-        dim, basis = invariant_dimension(cfg, 4, group_generators(cfg, "SL"))
+        dim, basis = invariant_dimension(group_generators(cfg, "SL"), 4)
         assert dim == 1
         assert basis == [milnor_q(0, ExtClass.dt_top(cfg))]
 
@@ -579,7 +573,7 @@ class TestInvariantDimension:
         tracemalloc.start()
         try:
             with pytest.raises(ResourceGuardError, match="9240x9240"):
-                invariant_dimension(cfg, 40, group)
+                invariant_dimension(group, 40)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -601,8 +595,8 @@ class TestInvariantDimension:
         group = GroupSpec("T", cfg, tuple(LinearSubst.transvection(cfg, i, j) for i, j in pairs))
         spread = 0
         for d in range(dmax + 1):
-            got = invariant_dimension(cfg, d, group)
-            assert got == invariant_dimension_stacked(cfg, d, group), d
+            got = invariant_dimension(group, d)
+            assert got == invariant_dimension_stacked(group, d), d
             grades = {mask.bit_count() for x in got[1] for mask in x.parts}
             spread += got[0] >= 2 and len(grades) >= 2
         assert spread >= dmax // 2
@@ -614,8 +608,8 @@ class TestInvariantDimension:
         cfg = Config(p, n)
         group = group_generators(cfg, kind)
         for d in range(dmax + 1):
-            got = invariant_dimension(cfg, d, group)
-            assert got == invariant_dimension_stacked(cfg, d, group), (kind, d)
+            got = invariant_dimension(group, d)
+            assert got == invariant_dimension_stacked(group, d), (kind, d)
 
     def test_peak_memory_stays_under_the_guard_estimate(self):
         # the guard prices G x G int64 matrices for the largest grade G
@@ -627,7 +621,7 @@ class TestInvariantDimension:
             assert invariants.GRADE_PEAK_FACTOR * size * size * 8 == estimate
             tracemalloc.start()
             try:
-                invariant_dimension(cfg, d, group)
+                invariant_dimension(group, d)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -639,7 +633,7 @@ class TestInvariantDimension:
         group = group_generators(cfg, "SL")
         tracemalloc.start()
         try:
-            invariant_dimension(cfg, 20, group)
+            invariant_dimension(group, 20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -647,20 +641,20 @@ class TestInvariantDimension:
 
     def test_degree_zero(self):
         for cfg in (Config(3, 2), Config(5, 3)):
-            dim, basis = invariant_dimension(cfg, 0, group_generators(cfg, "GL"))
+            dim, basis = invariant_dimension(group_generators(cfg, "GL"), 0)
             assert dim == 1
             assert basis == [ExtClass.one(cfg)]
 
     def test_trivial_group_keeps_everything(self):
         cfg = Config(3, 1)
-        dim, basis = invariant_dimension(cfg, 2, group_generators(cfg, "SL"))
+        dim, basis = invariant_dimension(group_generators(cfg, "SL"), 2)
         assert dim == 1 and basis == [ExtClass.t(cfg, 1)]
 
     def test_basis_members_are_invariant(self):
         cfg = Config(3, 2)
         group = group_generators(cfg, "SL")
         for d in range(0, 12):
-            _, basis = invariant_dimension(cfg, d, group)
+            _, basis = invariant_dimension(group, d)
             for b in basis:
                 assert is_invariant(b, group)
 
@@ -681,7 +675,7 @@ class TestPredictedDimension:
             cfg = Config(p, n)
             group = group_generators(cfg, kind)
             for d in range(dmax + 1):
-                dim, _ = invariant_dimension(cfg, d, group)
+                dim, _ = invariant_dimension(group, d)
                 assert dim == predicted_dimension(cfg, d, ring), (p, n, d, ring)
 
     def test_base_ring_series(self):
