@@ -25,13 +25,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "algebra": ["Config", "ExtClass", "LinearSubst", "substitute_linear"],
     "exprio": ["parse_class", "render_class", "class_to_json", "class_from_json"],
-    "steenrod": [
-        "milnor_q",
-        "reduced_power",
-        "total_reduced_power",
-        "apply_word",
-        "parse_op_word",
-    ],
+    "steenrod": ["milnor_q", "reduced_power", "apply_word", "parse_op_word"],
     "invariants": [
         "DicksonSet",
         "GroupSpec",

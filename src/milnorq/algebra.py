@@ -121,10 +121,6 @@ class ExtClass:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, cfg):
-        return cls(cfg)
-
-    @classmethod
     def scalar(cls, cfg, c):
         c %= cfg.p
         if c == 0:
@@ -154,19 +150,6 @@ class ExtClass:
     def dt_top(cls, cfg):
         """The product dt_1 dt_2 ... dt_n."""
         return cls(cfg, {(1 << cfg.n) - 1: {cfg.zero_mono: 1}})
-
-    @classmethod
-    def linear_form(cls, cfg, coords):
-        """The linear form sum_k coords[k] * t_{k+1}."""
-        if len(coords) != cfg.n:
-            raise ValueError("coordinate vector has wrong length")
-        poly = {}
-        for j, c in enumerate(coords):
-            c %= cfg.p
-            if c:
-                mono = tuple(1 if i == j else 0 for i in range(cfg.n))
-                poly[mono] = c
-        return cls(cfg, {0: poly} if poly else {})
 
     @classmethod
     def from_terms(cls, cfg, terms):
@@ -203,9 +186,6 @@ class ExtClass:
         """Top cohomological degree, or None for the zero class."""
         return max(self._degrees(), default=None)
 
-    def min_degree(self):
-        return min(self._degrees(), default=0)
-
     def is_homogeneous(self):
         return len(self._degrees()) <= 1
 
@@ -241,17 +221,6 @@ class ExtClass:
         return ExtClass(self.cfg, {m: q for m, q in parts.items() if q})
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = ExtClass.scalar(self.cfg, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, c):
         c %= self.cfg.p
@@ -309,21 +278,19 @@ class ExtClass:
                 base = base * base
         return result
 
-    def __str__(self):
+    def __repr__(self):
         from .exprio import render_class
 
-        return render_class(self)
-
-    def __repr__(self):
-        return f"<ExtClass p={self.cfg.p} n={self.cfg.n}: {self}>"
+        return f"<ExtClass p={self.cfg.p} n={self.cfg.n}: {render_class(self)}>"
 
 
 class LinearSubst:
     """An invertible n x n matrix over F_p acting by substitution.
 
     The matrix acts on the column vector of generators: the image of t_k is
-    sum_j rows[k][j] * t_j, and dt_k maps the same way.  Composition follows
-    substitute_linear(g @ h, x) == substitute_linear(g, substitute_linear(h, x)).
+    sum_j rows[k][j] * t_j, and dt_k maps the same way.  Substituting by h
+    and then by g is substituting by the matrix whose row k is
+    g.apply_weight(h.rows[k]).
 
     rows == S_1 ... S_m Q for the shears (i, j, c) in `shears`,
     S = I + c*E_ij (0-based, i != j: t_i -> t_i + c*t_j, dt_i likewise),
@@ -344,10 +311,6 @@ class LinearSubst:
         self.rows = rows
         self.shears, self.perm, self.diag = _shear_factors(rows, p)
         self.det = _perm_sign(self.perm) * math.prod(self.diag) % p
-
-    @classmethod
-    def identity(cls, cfg):
-        return cls.diagonal(cfg, [1] * cfg.n)
 
     @classmethod
     def transvection(cls, cfg, i, j, c=1):
@@ -375,12 +338,6 @@ class LinearSubst:
     def __repr__(self):
         return f"<LinearSubst p={self.cfg.p} rows={self.rows}>"
 
-    def __matmul__(self, other):
-        """Composite substitution: other applied first, then self."""
-        _check_cfg(self.cfg, other.cfg)
-        # row k of other.rows @ self.rows is self's image of the weight row k
-        return LinearSubst(self.cfg, [self.apply_weight(row) for row in other.rows])
-
     def inverse(self):
         """Q^-1 times the inverse shears I - c*E_ij, last shear first."""
         p, n = self.cfg.p, self.cfg.n
@@ -395,7 +352,8 @@ class LinearSubst:
     def apply_weight(self, v):
         """Image of a weight vector: the coordinates of the substituted linear form.
 
-        Defined so that substitute_linear(g, linear_form(v)) == linear_form(g.apply_weight(v)).
+        substitute_linear(g, x) sends the linear form sum_k v_k t_k to the
+        form whose coordinates are g.apply_weight(v).
         """
         p, n = self.cfg.p, self.cfg.n
         return tuple(

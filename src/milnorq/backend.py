@@ -80,13 +80,22 @@ def frobenius(poly, p):
 
 
 def poly_pow(poly, e, p, n):
-    """poly ** e mod p by repeated squaring; n is the number of variables."""
+    """poly ** e mod p; n is the number of variables.
+
+    poly^e is the product over the base-p digits e_k of e of
+    frobenius^k(poly)^(e_k), each by repeated squaring, so no partial
+    product has more terms than poly^(e_0) ... frobenius^k(poly)^(e_k).
+    """
     result = {(0,) * n: 1}
-    base = poly
     while e:
-        if e & 1:
-            result = poly_mul(result, base, p)
-        e >>= 1
+        e, digit = divmod(e, p)
+        base = poly
+        while digit:
+            if digit & 1:
+                result = poly_mul(result, base, p)
+            digit >>= 1
+            if digit:
+                base = poly_mul(base, base, p)
         if e:
-            base = poly_mul(base, base, p)
+            poly = frobenius(poly, p)
     return result

@@ -33,9 +33,13 @@ import operator
 from . import invariants, steenrod
 from .algebra import ExtClass, LinearSubst, substitute_linear
 from .backend import add_into, poly_mul, poly_pow
-from .errors import ConsistencyError, ascii_int, guard, guard_points
+from .errors import DESK_SCALE_BYTES, ConsistencyError, ascii_int, guard, guard_points
 
 TABLE_WORK_BOUND = 20_000  # obstruction_table refuses a_max * p^n above this
+# the tracemalloc peak of a whole chern-rep call on one weight to a power was
+# 786-803 B per priced term from 5 * 10^4 to 2.8 * 10^5 terms, and of
+# total_chern alone 250-490 B from 4.7 * 10^4 to 10^6 terms
+CHERN_TERM_BYTES = 1024
 
 
 class WeightMultiset:
@@ -136,25 +140,86 @@ def _regular_chern_poly(cfg):
     return level[0]
 
 
+def _regular_part(rho):
+    """(a, rest) with rho = a*reg + rest over the nonzero weights.
+
+    a is the least multiplicity of a nonzero weight when every nonzero
+    weight occurs (decided by counting them), else 0; rest maps each
+    nonzero weight to its multiplicity beyond a, where that is positive.
+    """
+    cfg = rho.cfg
+    nonzero = {v: m for v, m in rho.weights.items() if any(v)}
+    a = min(nonzero.values()) if len(nonzero) == cfg.p**cfg.n - 1 else 0
+    return a, {v: m - a for v, m in nonzero.items() if m > a}
+
+
+def _digits(m, p):
+    while m:
+        m, digit = divmod(m, p)
+        yield digit
+
+
+def _rest_terms(cfg, rest):
+    """An upper bound on the terms of the product of the (1 + v)^m of rest.
+
+    poly_pow works one base-p digit m_k of m at a time, so (1 + v)^m, v
+    with s nonzero coordinates, has prod_k C(m_k + s, s) terms, and none
+    of its partial products more.  A product has at most the product of
+    its factors' terms, and at degree D at most C(D + n, n).
+    """
+    count = 1
+    for v, m in rest.items():
+        s = sum(1 for c in v if c)
+        count *= math.prod(math.comb(d + s, s) for d in _digits(m, cfg.p))
+    return min(count, math.comb(sum(rest.values()) + cfg.n, cfg.n))
+
+
+def _regular_power_terms(cfg, a):
+    """An upper bound on the terms of c(reg)^a, known before c(reg) is built.
+
+    c(reg) is invariant under the diagonal torus, so each exponent of
+    c(reg)^d is a multiple of p - 1, and its degree is at most d(p^n - 1):
+    C(dN + n, n) monomials, N = (p^n - 1)/(p - 1).  poly_pow multiplies
+    the Frobenius images of the c(reg)^(a_k) over the base-p digits a_k.
+    """
+    p, n = cfg.p, cfg.n
+    span = (p**n - 1) // (p - 1)
+    return math.prod(math.comb(d * span + n, n) for d in _digits(a, p))
+
+
+def _guard_terms(terms):
+    needed = CHERN_TERM_BYTES * terms
+    guard(
+        needed,
+        DESK_SCALE_BYTES,
+        f"a Chern class product of up to {terms} terms, about {needed} bytes; "
+        f"bound is {DESK_SCALE_BYTES}",
+    )
+
+
 def total_chern(rho):
     """Expanded product of (1 + v)^multiplicity; zero weights contribute 1.
 
-    With rho = a*reg + rest (a = 0 unless every nonzero weight occurs,
-    decided by counting the distinct nonzero weights), the result is
-    c(reg)^a, c(reg) from the coset tree, times the factors of rest
-    multiplied in weight order.  Only the a >= 1 case enumerates V_n, and
-    then rho itself lists p^n - 1 weights.
+    With rho = a*reg + rest (_regular_part), the result is c(reg)^a, c(reg)
+    from the coset tree, times the factors of rest multiplied in weight
+    order.  Only the a >= 1 case enumerates V_n, and then rho itself lists
+    p^n - 1 weights.  The factors are priced before any product is formed,
+    and their product once c(reg)^a is built, from its actual terms: the
+    torus bound on c(reg) is 16 to 103 times its size at (5,3), (7,3), (3,4).
     """
     cfg = rho.cfg
     p, n = cfg.p, cfg.n
-    nonzero = {v: m for v, m in rho.weights.items() if any(v)}
-    a = min(nonzero.values()) if len(nonzero) == p**n - 1 else 0
+    a, rest = _regular_part(rho)
+    rest_terms = _rest_terms(cfg, rest)
+    _guard_terms(rest_terms + _regular_power_terms(cfg, a))
+    power = poly_pow(_regular_chern_poly(cfg), a, p, n) if a else {cfg.zero_mono: 1}
+    degree = a * (p**n - 1) + sum(rest.values())
+    _guard_terms(min(len(power) * rest_terms, math.comb(degree + n, n)))
     poly = {cfg.zero_mono: 1}
-    for v, m in sorted(nonzero.items()):
-        if m > a:
-            poly = poly_mul(poly, poly_pow(_one_plus(v), m - a, p, n), p)
+    for v, m in sorted(rest.items()):
+        poly = poly_mul(poly, poly_pow(_one_plus(v), m, p, n), p)
     if a:
-        poly = poly_mul(poly_pow(_regular_chern_poly(cfg), a, p, n), poly, p)
+        poly = poly_mul(power, poly, p)
     return ExtClass(cfg, {0: poly})
 
 
@@ -240,7 +305,9 @@ def power_of_regular(x):
     if d % reg_degree:
         return None
     a = d // reg_degree
-    return a if total_chern(regular_representation(cfg)) ** a == x else None
+    # a*reg goes through total_chern, so the power is priced and built by digits
+    rho = WeightMultiset(cfg, {v: a for v in regular_representation(cfg).weights})
+    return a if total_chern(rho) == x else None
 
 
 # n -> (the case of the obstruction argument, the Q-word applied to

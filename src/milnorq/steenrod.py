@@ -1,17 +1,25 @@
 """Milnor operations Q_i and reduced power operations P^j.
 
 Generator rules: Q_i(dt_k) = t_k^(p^i), Q_i(t_k) = 0, extended as an odd
-derivation; P^j is multiplicative in total form with P(t_k) = t_k + t_k^p
-and P(dt_k) = dt_k, so on a monomial t^a the total operation expands as
-the product over k of sum_i C(a_k, i) t_k^(a_k + i(p-1)).
+derivation; P^j obeys the Cartan formula with P^1(t_k) = t_k^p, P^i(t_k)
+= 0 for i > 1 and P^i(dt_k) = 0 for i > 0, so on a monomial t^a, P^j is
+the sum over the splits j = i_1 + ... + i_n of the products of
+C(a_k, i_k) t_k^(a_k + i_k(p-1)).
 
 Q_i raises cohomological degree by 2p^i - 1, P^j by 2j(p-1).
 """
 
 from __future__ import annotations
 
+import itertools
+
 from .algebra import ExtClass, _binomials_mod_p
 from .backend import add_into
+from .errors import DESK_SCALE_BYTES, guard
+
+# the tracemalloc peak of a whole apply call per priced entry was 810-895 B
+# from 2 * 10^4 to 5 * 10^5 entries, and of reduced_power alone 108-649 B
+POWER_ENTRY_BYTES = 1024
 
 
 def milnor_q(i, x):
@@ -33,75 +41,93 @@ def milnor_q(i, x):
     return ExtClass(cfg, {m: part for m, part in parts.items() if part})
 
 
-def _term_totals(mono, jmax, p, n):
-    """Total reduced power of the monomial t^mono, split by operation index.
+def _term_totals(mono, j, p):
+    """P^j of the monomial t^mono, as a kernel dict.
 
-    Returns {j: polynomial dict} for 0 <= j <= jmax.
+    P^j t^mono sums, over the splits j = i_1 + ... + i_n, the products of
+    C(mono_k, i_k) t_k^(mono_k + i_k(p-1)).  The splits of the first n - 1
+    parts are grouped by their sum j0 <= j, and the last part is j - j0.
+    Each output monomial determines its split, so no two terms collide.
     """
-    states = {0: {mono: 1}}
-    for k in range(n):
-        e = mono[k]
-        if e == 0:
-            continue
-        options = _binomials_mod_p(e, jmax, p)[1:]
-        if not options:
-            continue
-        # no collisions inside one term: the var-k exponent of an output
-        # monomial determines i, so targets of distinct (j0, i) are disjoint
+    step = p - 1
+    states = {0: {(): 1}}  # j0 -> {exponents of t_1..t_k: coefficient}
+    for a in mono[:-1]:
+        row = _binomials_mod_p(a, j, p)
         new = {}
-        for j0, poly0 in states.items():
-            new.setdefault(j0, {}).update(poly0)
-            for i, b in options:
-                j1 = j0 + i
-                if j1 > jmax:
-                    continue
-                target = new.setdefault(j1, {})
-                step = i * (p - 1)
-                for m0, c0 in poly0.items():
-                    m1 = list(m0)
-                    m1[k] += step
-                    target[tuple(m1)] = (b * c0) % p
+        for j0, poly in states.items():
+            for i, b in row:
+                if j0 + i > j:
+                    break
+                target = new.setdefault(j0 + i, {})
+                e = (a + i * step,)
+                for m, c in poly.items():
+                    target[m + e] = b * c % p
         states = new
-    return states
+    a = mono[-1]
+    last = dict(_binomials_mod_p(a, j, p))
+    out = {}
+    for j0, poly in states.items():
+        b = last.get(j - j0)
+        if b:
+            e = (a + (j - j0) * step,)
+            for m, c in poly.items():
+                out[m + e] = b * c % p
+    return out
+
+
+def _split_count(bounds, j, p):
+    """How many (i_1, ..., i_k) sum to j with each i_m digit-wise at most
+    bounds[m] in base p, that is with every C(bounds[m], i_m) != 0 mod p.
+
+    A count over the base-p digits of j, lowest first, keyed by the carry
+    into the next digit; ways[s] counts the digit tuples with digit sum s.
+    """
+    bounds = list(bounds)
+    carries = {0: 1}
+    while j:
+        j, target = divmod(j, p)
+        ways = [1]
+        for m, b in enumerate(bounds):
+            bounds[m], d = divmod(b, p)
+            acc = [0, *itertools.accumulate(ways)]
+            ways = [acc[min(s + 1, len(ways))] - acc[max(0, s - d)] for s in range(len(ways) + d)]
+        new = {}
+        for carry, count in carries.items():
+            for s in range((target - carry) % p, len(ways), p):
+                new[(s + carry) // p] = new.get((s + carry) // p, 0) + count * ways[s]
+        carries = new
+    return carries.get(0, 0)
 
 
 def reduced_power(j, x):
-    """Apply the reduced power operation P^j to x."""
+    """Apply the reduced power operation P^j to x.
+
+    Priced before any term is expanded: each monomial's _term_totals holds
+    at most one entry per split of j0 <= j over its first n - 1 exponents,
+    and builds at most one output term for each, counted by _split_count
+    with a last part free to take any j - j0.
+    """
     if j < 0:
         raise ValueError("operation index must be non-negative")
     cfg = x.cfg
     p = cfg.p
+    free = p ** j.bit_length() - 1  # every base-p digit of any i <= j is allowed
+    entries = sum(
+        _split_count(mono[:-1] + (free,), j, p) for poly in x.parts.values() for mono in poly
+    )
+    needed = POWER_ENTRY_BYTES * entries
+    guard(
+        needed,
+        DESK_SCALE_BYTES,
+        f"P^{j} builds up to {entries} partial terms, about {needed} bytes; "
+        f"bound is {DESK_SCALE_BYTES}",
+    )
     parts = {}
     for mask, poly in x.parts.items():
         target = parts.setdefault(mask, {})
         for mono, c in poly.items():
-            add_into(target, _term_totals(mono, j, p, cfg.n).get(j, {}), c, p)
+            add_into(target, _term_totals(mono, j, p), c, p)
     return ExtClass(cfg, {m: q for m, q in parts.items() if q})
-
-
-def total_reduced_power(x, max_degree):
-    """All P^j x with output degree bounded by max_degree.
-
-    Entry j equals reduced_power(j, x) restricted to degree <= max_degree;
-    entries run while the cheapest term of x could still contribute.
-    """
-    cfg = x.cfg
-    p = cfg.p
-    top = x.degree()
-    if top is not None and max_degree < top:
-        raise ValueError("max_degree must be at least the degree of x")
-    step = 2 * (p - 1)
-    jmax = (max_degree - x.min_degree()) // step
-    out = [{} for _ in range(jmax + 1)]
-    for mask, mono, c in x.iter_terms():
-        deg = mask.bit_count() + 2 * sum(mono)
-        jterm = min(jmax, (max_degree - deg) // step)
-        if jterm < 0:
-            continue
-        totals = _term_totals(mono, jterm, p, cfg.n)
-        for j, poly in totals.items():
-            add_into(out[j].setdefault(mask, {}), poly, c, p)
-    return [ExtClass(cfg, {m: q for m, q in parts.items() if q}) for parts in out]
 
 
 def parse_op_word(text):

@@ -54,6 +54,17 @@ def random_subst(rng, cfg):
             continue
 
 
+def compose(g, h):
+    """The substitution by h followed by g: row k is g's image of h's row k."""
+    return LinearSubst(g.cfg, [g.apply_weight(row) for row in h.rows])
+
+
+def linear_form(cfg, v):
+    """The class v_1 t_1 + ... + v_n t_n."""
+    units = [tuple(int(i == k) for i in range(cfg.n)) for k in range(cfg.n)]
+    return ExtClass.from_terms(cfg, [(0, unit, c) for unit, c in zip(units, v)])
+
+
 def regular_plus(cfg, a, extra=()):
     """a * reg plus the (weight, multiplicity) pairs of extra, one multiset."""
     pairs = [(v, a) for v in itertools.product(range(cfg.p), repeat=cfg.n)] if a else []

@@ -122,7 +122,9 @@ def total_chern_sequential(rho):
     cfg = rho.cfg
     result = ExtClass.one(cfg)
     for v, m in rho.items():
-        factor = ExtClass.one(cfg) + ExtClass.linear_form(cfg, v)
+        factor = ExtClass.one(cfg)
+        for k, c in enumerate(v):
+            factor = factor + ExtClass.t(cfg, k + 1).scale(c)
         result = result * factor**m
     return result
 

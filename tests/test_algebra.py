@@ -19,7 +19,7 @@ from milnorq import (
 )
 from milnorq import algebra
 from milnorq.algebra import _binomials_mod_p, _lucas_count
-from conftest import CONFIGS, random_class, random_homogeneous, random_subst
+from conftest import CONFIGS, compose, linear_form, random_class, random_homogeneous, random_subst
 from oracles import det_by_permutations, substitute_linear_expanded
 
 
@@ -73,7 +73,7 @@ class TestExteriorProduct:
     def test_one_transposition_flips_sign(self):
         cfg = Config(3, 2)
         dt1, dt2 = ExtClass.dt(cfg, 1), ExtClass.dt(cfg, 2)
-        assert dt2 * dt1 == -ExtClass.dt_top(cfg)
+        assert dt2 * dt1 == ExtClass.dt_top(cfg).scale(-1)
 
     def test_repeated_exterior_generator_annihilates(self):
         cfg = Config(3, 2)
@@ -132,7 +132,7 @@ class TestExteriorProduct:
     def test_scalar_and_power_arithmetic(self):
         cfg = Config(5, 2)
         t1 = ExtClass.t(cfg, 1)
-        assert 2 * t1 + 3 * t1 == ExtClass.zero(cfg)
+        assert 2 * t1 + 3 * t1 == ExtClass(cfg)
         assert (t1 + 1) ** 2 == t1 * t1 + 2 * t1 + 1
         with pytest.raises(ValueError):
             t1 ** -1
@@ -144,8 +144,8 @@ class TestHomogeneousPart:
         one = ExtClass.one(cfg)
         t1 = ExtClass.t(cfg, 1)
         product = (one + t1) * (one + 2 * t1)  # 1 - t1^2 over F_3
-        assert product == one - t1 * t1
-        assert product.homogeneous_part(4) == -(t1 * t1)
+        assert product == one + (t1 * t1).scale(-1)
+        assert product.homogeneous_part(4) == (t1 * t1).scale(-1)
 
     def test_exterior_term_degree(self):
         cfg = Config(3, 2)
@@ -162,7 +162,7 @@ class TestHomogeneousPart:
         for cfg in CONFIGS:
             for _ in range(5):
                 x = random_class(rng, cfg)
-                total = ExtClass.zero(cfg)
+                total = ExtClass(cfg)
                 for d in range(x.degree() + 1):
                     total = total + x.homogeneous_part(d)
                 assert total == x
@@ -177,7 +177,7 @@ class TestSubstitution:
     def test_identity_fixes_everything(self, rng):
         for cfg in CONFIGS:
             x = random_class(rng, cfg)
-            assert substitute_linear(LinearSubst.identity(cfg), x) == x
+            assert substitute_linear(LinearSubst.diagonal(cfg, [1] * cfg.n), x) == x
 
     def test_transvection_on_a_generator(self):
         cfg = Config(3, 2)
@@ -190,7 +190,7 @@ class TestSubstitution:
         # direct substitution: t1 -> 2*t1 sends t1^3*t2 - t1*t2^3 to twice itself
         cfg = Config(3, 2)
         t1, t2 = ExtClass.t(cfg, 1), ExtClass.t(cfg, 2)
-        e2 = t1**3 * t2 - t1 * t2**3
+        e2 = t1**3 * t2 + (t1 * t2**3).scale(-1)
         g = LinearSubst.diagonal(cfg, [2, 1])
         assert substitute_linear(g, e2) == 2 * e2
 
@@ -205,7 +205,7 @@ class TestSubstitution:
                 g = random_subst(rng, cfg)
                 h = random_subst(rng, cfg)
                 x = random_class(rng, cfg)
-                assert substitute_linear(g @ h, x) == substitute_linear(
+                assert substitute_linear(compose(g, h), x) == substitute_linear(
                     g, substitute_linear(h, x)
                 )
 
@@ -222,7 +222,7 @@ class TestSubstitution:
     def test_inverse_and_transpose(self, rng):
         for cfg in CONFIGS:
             g = random_subst(rng, cfg)
-            assert g @ g.inverse() == LinearSubst.identity(cfg)
+            assert compose(g, g.inverse()) == LinearSubst.diagonal(cfg, [1] * cfg.n)
             # (g^-1)^T is the inverse of g^T
             transposed = LinearSubst(cfg, zip(*g.rows))
             assert transposed.inverse() == LinearSubst(cfg, zip(*g.inverse().rows))
@@ -232,8 +232,8 @@ class TestSubstitution:
             for _ in range(5):
                 g = random_subst(rng, cfg)
                 v = tuple(rng.randrange(cfg.p) for _ in range(cfg.n))
-                lhs = substitute_linear(g, ExtClass.linear_form(cfg, v))
-                assert lhs == ExtClass.linear_form(cfg, g.apply_weight(v))
+                lhs = substitute_linear(g, linear_form(cfg, v))
+                assert lhs == linear_form(cfg, g.apply_weight(v))
 
     def test_dt_and_t_transform_by_the_same_matrix(self, rng):
         # consistent with t_k arising from dt_k under the degree-1 derivation
@@ -269,7 +269,7 @@ class TestSubstitution:
             want = field.from_dict(poly).compose(list(zip(xs, images)))
             want = {mono: int(c) % p for mono, c in want.items() if int(c) % p}
             got = substitute_linear(g, ExtClass(cfg, {0: poly}))
-            assert got == (ExtClass(cfg, {0: want}) if want else ExtClass.zero(cfg))
+            assert got == (ExtClass(cfg, {0: want}) if want else ExtClass(cfg))
 
 
 # hypothesis draws a config, then matrices and classes under it
@@ -333,7 +333,7 @@ class TestShearFactors:
     def test_composition_convention(self, data):
         cfg = data.draw(configs())
         g, h, x = data.draw(substs(cfg)), data.draw(substs(cfg)), data.draw(classes(cfg))
-        assert substitute_linear(g @ h, x) == substitute_linear(g, substitute_linear(h, x))
+        assert substitute_linear(compose(g, h), x) == substitute_linear(g, substitute_linear(h, x))
 
     @PROPERTY
     @given(data=st.data())
@@ -361,8 +361,8 @@ class TestShearFactors:
     @given(data=st.data())
     def test_inverse_on_both_sides(self, data):
         g = data.draw(configs().flatmap(substs))
-        identity = LinearSubst.identity(g.cfg)
-        assert g @ g.inverse() == identity == g.inverse() @ g
+        identity = LinearSubst.diagonal(g.cfg, [1] * g.cfg.n)
+        assert compose(g, g.inverse()) == identity == compose(g.inverse(), g)
 
     def test_elementary_matrices_are_their_own_factors(self):
         cfg = Config(5, 3)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from milnorq import backend
 from milnorq.backend import add_into, frobenius, poly_mul, poly_pow
 from oracles import poly_mul_dict
 
@@ -225,6 +226,22 @@ def test_poly_pow_past_p_matches_sympy(n, p):
         for e in (p, p + 1, 2 * p + 1, p * p + 2):
             assert poly_pow(x, e, p, n) == from_sympy(to_sympy(x, n, p) ** e, p)
         assert frobenius(x, p) == from_sympy(to_sympy(x, n, p) ** p, p)
+
+
+def test_poly_pow_forms_no_product_past_its_digits(monkeypatch):
+    # (1 + t1 + t2)^(3^6) = 1 + t1^729 + t2^729: the one base-3 digit is a
+    # Frobenius image, where squaring would pass through (1 + t1 + t2)^512
+    sizes = []
+
+    def recording(a, b, p):
+        product = poly_mul(a, b, p)
+        sizes.append(len(product))
+        return product
+
+    monkeypatch.setattr(backend, "poly_mul", recording)
+    x = {(0, 0): 1, (1, 0): 1, (0, 1): 1}
+    assert poly_pow(x, 3**6, 3, 2) == {(0, 0): 1, (729, 0): 1, (0, 729): 1}
+    assert max(sizes) == 3
 
 
 def test_empty_operands():

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import numpy as np
 import pytest
@@ -24,9 +26,11 @@ from milnorq import (
     substitute_linear,
     total_chern,
 )
-from milnorq import chern
+from milnorq import backend, chern
+from milnorq.backend import poly_pow
 from milnorq.chern import WeightMultiset, _coordinate_change
-from conftest import act, random_subst, regular_plus
+from milnorq.errors import DESK_SCALE_BYTES
+from conftest import act, compose, linear_form, random_subst, regular_plus
 from oracles import (
     divide_once,
     divisibility_profile_per_vector,
@@ -94,7 +98,7 @@ class TestTotalChern:
         # oracle: (1 + t)(1 + 2t) expanded directly
         expected = (ExtClass.one(cfg) + t1) * (ExtClass.one(cfg) + 2 * t1)
         assert total_chern(regular_representation(cfg)) == expected
-        assert expected == ExtClass.one(cfg) - t1 * t1
+        assert expected == ExtClass.one(cfg) + (t1 * t1).scale(-1)
 
     def test_single_weight(self):
         cfg = Config(3, 2)
@@ -193,6 +197,87 @@ class TestTreeRoute:
         assert total_chern(rho) == total_chern_sequential(rho)
 
 
+def without(rho, weight):
+    """rho with one copy of weight taken out."""
+    weights = dict(rho.weights)
+    weights[weight] -= 1
+    return WeightMultiset(rho.cfg, {v: m for v, m in weights.items() if m})
+
+
+def priced_terms(rho):
+    """The larger of the two prices total_chern checks, in terms: its
+    factors before any product, then their product (not capped by degree)."""
+    cfg = rho.cfg
+    a, rest = chern._regular_part(rho)
+    rest_terms = chern._rest_terms(cfg, rest)
+    power = len(poly_pow(chern._regular_chern_poly(cfg), a, cfg.p, cfg.n))
+    return max(rest_terms + chern._regular_power_terms(cfg, a), power * rest_terms)
+
+
+# each exits 0 from the CLI, in seconds
+ADMITTED = {
+    "3reg-at-3-4": lambda: regular_plus(Config(3, 4), 3),
+    "reg-minus-one-at-5-3": lambda: without(regular_plus(Config(5, 3), 1), (1, 2, 3)),
+    "2reg-at-5-3": lambda: regular_plus(Config(5, 3), 2),
+    "x2186-at-3-2": lambda: WeightMultiset(Config(3, 2), {(1, 1): 2186}),
+}
+
+# (1 + t1 + t2)^6560 has 6^8 terms (6560 = 22222222 in base 3); 2*reg minus
+# one weight at (3,4) is c(reg) times 79 linear factors, dense to degree 79
+REFUSED = {
+    "x6560-at-3-2": (
+        lambda: WeightMultiset(Config(3, 2), {(1, 1): 6560}),
+        "a Chern class product of up to 1679617 terms",
+    ),
+    "2reg-minus-one-at-3-4": (
+        lambda: without(regular_plus(Config(3, 4), 2), (1, 2, 0, 1)),
+        "a Chern class product of up to 1973371 terms",
+    ),
+}
+
+
+class TestGuard:
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_refused_before_any_product(self, monkeypatch, name):
+        def unreachable(*args):
+            raise AssertionError("the guard let a product start")
+
+        monkeypatch.setattr(backend, "poly_mul", unreachable)
+        monkeypatch.setattr(chern, "poly_mul", unreachable)
+        build, message = REFUSED[name]
+        rho = build()
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match=message):
+            total_chern(rho)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("name", ADMITTED)
+    def test_admits_what_runs_today(self, name):
+        assert priced_terms(ADMITTED[name]()) * chern.CHERN_TERM_BYTES <= DESK_SCALE_BYTES
+
+    @pytest.mark.parametrize("p,n,a", SPLIT_CASES)
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_prices_bound_the_factors(self, p, n, a, data):
+        cfg = Config(p, n)
+        a, rest = chern._regular_part(data.draw(split_multisets(cfg, a)))
+        rest_class = total_chern(WeightMultiset(cfg, rest)) if rest else ExtClass.one(cfg)
+        assert sum(map(len, rest_class.parts.values())) <= chern._rest_terms(cfg, rest)
+        power = poly_pow(chern._regular_chern_poly(cfg), a, p, n)
+        assert len(power) <= chern._regular_power_terms(cfg, a)
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3), (7, 2)])
+    def test_a_single_weight_is_priced_exactly(self, p, n):
+        # (1 + v)^m has prod_k C(m_k + s, s) terms over the base-p digits of m
+        rng = random.Random(f"single:{p}:{n}")
+        for _ in range(10):
+            v = tuple(rng.randrange(p) for _ in range(n - 1)) + (1,)
+            m = rng.randrange(1, p**3)
+            rest = {v: m}
+            terms = len(total_chern(WeightMultiset(Config(p, n), rest)).parts[0])
+            assert terms == chern._rest_terms(Config(p, n), rest)
+
+
 class TestRegularRepresentation:
     def test_contains_every_weight_once(self):
         cfg = Config(3, 2)
@@ -279,10 +364,8 @@ class TestDivisibilityProfile:
             g1 = _coordinate_change(cfg, v)
             # a second extension: post-compose with a change fixing t_1
             fix = LinearSubst(cfg, [[1, 0, 0], [0, 1, 1], [0, 2, 1]])
-            g2 = fix @ g1
-            assert substitute_linear(g2, ExtClass.linear_form(cfg, v)) == ExtClass.t(
-                cfg, 1
-            )
+            g2 = compose(fix, g1)
+            assert substitute_linear(g2, linear_form(cfg, v)) == ExtClass.t(cfg, 1)
             moved1 = substitute_linear(g1, x)
             moved2 = substitute_linear(g2, x)
             mu1 = _count_divisions(moved1)

@@ -37,7 +37,7 @@ from milnorq.invariants import (
     primitive_root,
     ring_generators,
 )
-from conftest import random_homogeneous_poly, random_subst, x_coefficient
+from conftest import compose, random_homogeneous_poly, random_subst, x_coefficient
 from oracles import (
     degree_basis_sorted,
     dickson_polynomial_naive,
@@ -55,7 +55,7 @@ class TestDicksonPolynomial:
         f = dickson_polynomial(cfg)
         # X^3 - t_1^2 X, keyed (e_X, e_1)
         assert f == {(3, 0): 1, (1, 2): 2}
-        assert x_coefficient(cfg, f, 1) == -(ExtClass.t(cfg, 1) ** 2)
+        assert x_coefficient(cfg, f, 1) == (ExtClass.t(cfg, 1) ** 2).scale(-1)
         assert f == dickson_polynomial_naive(cfg)
 
     def test_rank_two_support_and_bottom_coefficient(self):
@@ -231,10 +231,14 @@ class TestGroups:
         cycle, shear = group_generators(cfg, "SL").generators
         found = {shear, shear.inverse()}
         for _ in range(n):
-            found |= {cycle.inverse() @ g @ cycle for g in found}
+            found |= {compose(cycle.inverse(), compose(g, cycle)) for g in found}
         grown = True
         while grown:
-            commutators = {a @ b @ a.inverse() @ b.inverse() for a in found for b in found}
+            commutators = {
+                compose(compose(a, b), compose(a.inverse(), b.inverse()))
+                for a in found
+                for b in found
+            }
             new = {g for g in commutators if _is_elementary(g.rows)} - found
             found |= new
             grown = bool(new)
@@ -272,7 +276,7 @@ class TestAgainstTheTransvectionSet:
         # a Dickson monomial in e and the c's is SL-invariant, GL-invariant
         # when (p - 1) divides the power of e; a random class rarely is
         ds = dickson_classes(cfg)
-        x = ExtClass.zero(cfg)
+        x = ExtClass(cfg)
         for g in data.draw(st.lists(st.sampled_from((ds.e,) + ds.c), max_size=2)):
             x = x * g if x else g
         if data.draw(st.booleans()):
@@ -366,7 +370,7 @@ class TestMembership:
 
     def test_scalars_and_zero(self):
         cfg = Config(3, 2)
-        assert membership_dickson(ExtClass.zero(cfg), "D") == {}
+        assert membership_dickson(ExtClass(cfg), "D") == {}
         assert membership_dickson(ExtClass.scalar(cfg, 2), "D") == {(0, 0): 2}
 
     def test_rejects_non_homogeneous_and_exterior_input(self):
@@ -479,7 +483,7 @@ class TestMembership:
         )
         d = sum(e * g.degree() for e, g in zip(top, gens))
         candidates = list(invariants._compositions(d, [g.degree() for g in gens]))
-        x = ExtClass.zero(cfg)
+        x = ExtClass(cfg)
         chosen = st.lists(st.sampled_from(candidates), min_size=1, max_size=3, unique=True)
         for exps in data.draw(chosen):
             term = math.prod((g**e for g, e in zip(gens, exps)), start=ExtClass.one(cfg))

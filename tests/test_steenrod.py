@@ -1,4 +1,7 @@
+import itertools
 import math
+import random
+import time
 
 import pytest
 
@@ -9,9 +12,12 @@ from milnorq import (
     milnor_q,
     parse_op_word,
     reduced_power,
+    ResourceGuardError,
     substitute_linear,
-    total_reduced_power,
 )
+from milnorq import steenrod
+from milnorq.algebra import _binomials_mod_p
+from milnorq.errors import DESK_SCALE_BYTES
 from milnorq.invariants import moore_class
 from conftest import CONFIGS, random_class, random_homogeneous, random_subst
 
@@ -37,7 +43,7 @@ class TestGeneratorRules:
         cfg = Config(3, 2)
         t1, t2 = ExtClass.t(cfg, 1), ExtClass.t(cfg, 2)
         dt1, dt2 = ExtClass.dt(cfg, 1), ExtClass.dt(cfg, 2)
-        assert milnor_q(0, dt1 * dt2) == t1 * dt2 - t2 * dt1
+        assert milnor_q(0, dt1 * dt2) == t1 * dt2 + (t2 * dt1).scale(-1)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_power_on_polynomial_generator(self, p):
@@ -94,7 +100,7 @@ class TestOperationLaws:
             for _ in range(6):
                 x = random_class(rng, cfg)
                 for i, j in ((0, 1), (0, 2), (1, 2)):
-                    assert milnor_q(i, milnor_q(j, x)) == -milnor_q(j, milnor_q(i, x))
+                    assert milnor_q(i, milnor_q(j, x)) == milnor_q(j, milnor_q(i, x)).scale(-1)
 
     def test_derivation_law(self, rng):
         for cfg in CONFIGS:
@@ -112,7 +118,7 @@ class TestOperationLaws:
                 x = random_class(rng, cfg)
                 y = random_class(rng, cfg)
                 for j in range(5):
-                    rhs = ExtClass.zero(cfg)
+                    rhs = ExtClass(cfg)
                     for i in range(j + 1):
                         rhs = rhs + reduced_power(i, x) * reduced_power(j - i, y)
                     assert reduced_power(j, x * y) == rhs
@@ -150,9 +156,9 @@ class TestOperationLaws:
                 for i in (0, 1):
                     s = p**i
                     lhs = milnor_q(i + 1, x)
-                    rhs = reduced_power(s, milnor_q(i, x)) - milnor_q(
+                    rhs = reduced_power(s, milnor_q(i, x)) + milnor_q(
                         i, reduced_power(s, x)
-                    )
+                    ).scale(-1)
                     assert lhs == rhs
 
     def test_degree_shifts(self, rng):
@@ -169,47 +175,48 @@ class TestOperationLaws:
                     assert y.degree() == d + 2 * j * (cfg.p - 1)
 
 
-class TestTotalPower:
-    def test_against_single_powers(self, rng):
-        for cfg in CONFIGS:
-            for _ in range(5):
-                x = random_class(rng, cfg, max_exp=2)
-                bound = x.degree() + 4 * (cfg.p - 1)
-                entries = total_reduced_power(x, bound)
-                for j, entry in enumerate(entries):
-                    expected = reduced_power(j, x)
-                    expected = sum(
-                        (expected.homogeneous_part(d) for d in range(bound + 1)),
-                        ExtClass.zero(cfg),
-                    )
-                    assert entry == expected
+def power_price(j, mono, p):
+    """The entries reduced_power prices for P^j on one monomial."""
+    return steenrod._split_count(mono[:-1] + (p ** j.bit_length() - 1,), j, p)
 
-    def test_on_a_generator(self):
-        cfg = Config(3, 1)
-        t1 = ExtClass.t(cfg, 1)
-        entries = total_reduced_power(t1, 8)
-        assert entries[0] == t1
-        assert entries[1] == t1**3
-        assert all(not e for e in entries[2:])
 
-    def test_on_the_unit(self):
-        cfg = Config(3, 1)
-        entries = total_reduced_power(ExtClass.one(cfg), 8)
-        assert entries[0] == ExtClass.one(cfg)
-        assert len(entries) == 3
-        assert all(not e for e in entries[1:])
+class TestPowerGuard:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_split_count_matches_the_enumeration(self, p):
+        rng = random.Random(f"splits:{p}")
+        for _ in range(300):
+            bounds = [rng.randrange(3 * p * p) for _ in range(rng.randint(0, 4))]
+            j = rng.randrange(4 * p * p)
+            rows = [[i for i, _ in _binomials_mod_p(b, j, p)] for b in bounds]
+            want = sum(1 for split in itertools.product(*rows) if sum(split) == j)
+            assert steenrod._split_count(bounds, j, p) == want, (bounds, j)
 
-    def test_degree_bound_honored(self, rng):
-        for cfg in CONFIGS:
-            x = random_class(rng, cfg, max_exp=2)
-            bound = x.degree() + 2 * (cfg.p - 1)
-            for entry in total_reduced_power(x, bound):
-                assert not entry or entry.degree() <= bound
+    @pytest.mark.parametrize("p,n", [(3, 1), (3, 4), (5, 3), (7, 2)])
+    def test_price_bounds_the_output(self, p, n):
+        rng = random.Random(f"power-price:{p}:{n}")
+        for _ in range(40):
+            mono = tuple(rng.randrange(p**3) for _ in range(n))
+            j = rng.randrange(2 * p * p)
+            assert len(steenrod._term_totals(mono, j, p)) <= power_price(j, mono, p)
 
-    def test_bound_below_degree_rejected(self):
-        cfg = Config(3, 1)
-        with pytest.raises(ValueError):
-            total_reduced_power(ExtClass.t(cfg, 1), 1)
+    def test_refused_before_any_split_is_built(self, monkeypatch):
+        # every exponent is 22222222 in base 3, so the first three parts
+        # split each j0 <= 300 freely: C(303, 3) = 4,590,551 partial terms
+        def unreachable(*args):
+            raise AssertionError("the guard let a power start")
+
+        monkeypatch.setattr(steenrod, "_term_totals", unreachable)
+        x = ExtClass(Config(3, 4), {0: {(6560,) * 4: 1}})
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match="P\\^300 builds up to 4590551 partial terms"):
+            reduced_power(300, x)
+        assert time.perf_counter() - start < 1
+
+    def test_admits_what_runs_today(self):
+        # P^100 on the same monomial exits 0 from the CLI in about 2 s
+        entries = power_price(100, (6560,) * 4, 3)
+        assert entries == math.comb(103, 3)
+        assert entries * steenrod.POWER_ENTRY_BYTES <= DESK_SCALE_BYTES
 
 
 class TestWords:
@@ -217,7 +224,7 @@ class TestWords:
         cfg = Config(3, 2)
         x = apply_word([("Q", 0), ("Q", 1)], ExtClass.dt_top(cfg))
         t1, t2 = ExtClass.t(cfg, 1), ExtClass.t(cfg, 2)
-        assert x == t1**3 * t2 - t1 * t2**3
+        assert x == t1**3 * t2 + (t1 * t2**3).scale(-1)
 
     def test_empty_word_is_identity(self, rng):
         for cfg in CONFIGS:
