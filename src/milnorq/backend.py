@@ -24,14 +24,22 @@ exprio.parse_class and exprio.class_from_json reject negative exponents.
 from itertools import repeat
 from operator import and_, lshift, rshift
 
+from .errors import ResourceGuardError
+
 
 def backend_name():
     """Name of the kernel: one dict loop on exponents packed into Python ints."""
     return "packed-int"
 
 
-def poly_mul(a, b, p):
-    """Product of two sparse polynomials mod p; exponents must be >= 0."""
+def poly_mul(a, b, p, limit=None):
+    """Product of two sparse polynomials mod p; exponents must be >= 0.
+
+    With a limit, it raises ResourceGuardError before its accumulator,
+    which holds every monomial formed before reduction mod p, could pass
+    limit monomials: the check runs once per term of the shorter factor,
+    against what one more pass over the longer factor could add.
+    """
     if len(a) < len(b):
         a, b = b, a
     if not b:
@@ -39,9 +47,12 @@ def poly_mul(a, b, p):
     widths = [(x + y).bit_length() for x, y in zip(map(max, zip(*a)), map(max, zip(*b)))]
     shifts = [sum(widths[i + 1:]) for i in range(len(widths))]
     terms_a = [(sum(map(lshift, m, shifts)), c) for m, c in a.items()]
+    room = None if limit is None else limit - len(terms_a)
     acc = {}
     get = acc.get
     for mb, cb in b.items():
+        if room is not None and len(acc) > room:
+            raise ResourceGuardError(f"a product could pass its bound of {limit} monomials")
         kb = sum(map(lshift, mb, shifts))
         for ka, ca in terms_a:
             k = ka + kb
@@ -79,12 +90,13 @@ def frobenius(poly, p):
     return {tuple(e * p for e in m): c for m, c in poly.items()}
 
 
-def poly_pow(poly, e, p, n):
+def poly_pow(poly, e, p, n, limit=None):
     """poly ** e mod p; n is the number of variables.
 
     poly^e is the product over the base-p digits e_k of e of
     frobenius^k(poly)^(e_k), each by repeated squaring, so no partial
     product has more terms than poly^(e_0) ... frobenius^k(poly)^(e_k).
+    Every product is held to limit as in poly_mul.
     """
     result = {(0,) * n: 1}
     while e:
@@ -92,10 +104,10 @@ def poly_pow(poly, e, p, n):
         base = poly
         while digit:
             if digit & 1:
-                result = poly_mul(result, base, p)
+                result = poly_mul(result, base, p, limit)
             digit >>= 1
             if digit:
-                base = poly_mul(base, base, p)
+                base = poly_mul(base, base, p, limit)
         if e:
             poly = frobenius(poly, p)
     return result

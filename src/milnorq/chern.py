@@ -33,13 +33,23 @@ import operator
 from . import invariants, steenrod
 from .algebra import ExtClass, LinearSubst, substitute_linear
 from .backend import add_into, poly_mul, poly_pow
-from .errors import DESK_SCALE_BYTES, ConsistencyError, ascii_int, guard, guard_points
+from .errors import (
+    DESK_SCALE_BYTES,
+    ConsistencyError,
+    ascii_int,
+    guard,
+    guard_bytes,
+    guard_points,
+)
 
 TABLE_WORK_BOUND = 20_000  # obstruction_table refuses a_max * p^n above this
 # the tracemalloc peak of a whole chern-rep call on one weight to a power was
 # 786-803 B per priced term from 5 * 10^4 to 2.8 * 10^5 terms, and of
 # total_chern alone 250-490 B from 4.7 * 10^4 to 10^6 terms
 CHERN_TERM_BYTES = 1024
+# poly_mul's tracemalloc peak per monomial of its accumulator was 133-323 B
+# from 2.4 * 10^4 to 7.1 * 10^5 of them at n = 2..4, factor and result included
+PRODUCT_LIMIT = DESK_SCALE_BYTES // 400
 
 
 class WeightMultiset:
@@ -134,7 +144,7 @@ def _regular_chern_poly(cfg):
         for start in range(0, len(level), p):
             node = level[start]
             for child in level[start + 1:start + p]:
-                node = poly_mul(node, child, p)
+                node = poly_mul(node, child, p, PRODUCT_LIMIT)
             merged.append(node)
         level = merged
     return level[0]
@@ -174,52 +184,32 @@ def _rest_terms(cfg, rest):
     return min(count, math.comb(sum(rest.values()) + cfg.n, cfg.n))
 
 
-def _regular_power_terms(cfg, a):
-    """An upper bound on the terms of c(reg)^a, known before c(reg) is built.
-
-    c(reg) is invariant under the diagonal torus, so each exponent of
-    c(reg)^d is a multiple of p - 1, and its degree is at most d(p^n - 1):
-    C(dN + n, n) monomials, N = (p^n - 1)/(p - 1).  poly_pow multiplies
-    the Frobenius images of the c(reg)^(a_k) over the base-p digits a_k.
-    """
-    p, n = cfg.p, cfg.n
-    span = (p**n - 1) // (p - 1)
-    return math.prod(math.comb(d * span + n, n) for d in _digits(a, p))
-
-
-def _guard_terms(terms):
-    needed = CHERN_TERM_BYTES * terms
-    guard(
-        needed,
-        DESK_SCALE_BYTES,
-        f"a Chern class product of up to {terms} terms, about {needed} bytes; "
-        f"bound is {DESK_SCALE_BYTES}",
-    )
-
-
 def total_chern(rho):
     """Expanded product of (1 + v)^multiplicity; zero weights contribute 1.
 
     With rho = a*reg + rest (_regular_part), the result is c(reg)^a, c(reg)
     from the coset tree, times the factors of rest multiplied in weight
     order.  Only the a >= 1 case enumerates V_n, and then rho itself lists
-    p^n - 1 weights.  The factors are priced before any product is formed,
-    and their product once c(reg)^a is built, from its actual terms: the
-    torus bound on c(reg) is 16 to 103 times its size at (5,3), (7,3), (3,4).
+    p^n - 1 weights.  The factors of rest are priced before any product
+    (_rest_terms), which also prices the result when a = 0.  c(reg)^a and
+    its product with them have no count that comes near their size (the
+    torus bound is 16 to 103 times the size of c(reg) and 290 times that of
+    c(reg)^2 at (3,4)), so each of their products stops at PRODUCT_LIMIT
+    monomials as it grows, and the result is priced from its length.
     """
     cfg = rho.cfg
     p, n = cfg.p, cfg.n
     a, rest = _regular_part(rho)
-    rest_terms = _rest_terms(cfg, rest)
-    _guard_terms(rest_terms + _regular_power_terms(cfg, a))
-    power = poly_pow(_regular_chern_poly(cfg), a, p, n) if a else {cfg.zero_mono: 1}
-    degree = a * (p**n - 1) + sum(rest.values())
-    _guard_terms(min(len(power) * rest_terms, math.comb(degree + n, n)))
+    terms = _rest_terms(cfg, rest)
+    guard_bytes(f"a Chern class product of up to {terms} terms", CHERN_TERM_BYTES * terms)
     poly = {cfg.zero_mono: 1}
     for v, m in sorted(rest.items()):
         poly = poly_mul(poly, poly_pow(_one_plus(v), m, p, n), p)
     if a:
-        poly = poly_mul(power, poly, p)
+        power = poly_pow(_regular_chern_poly(cfg), a, p, n, PRODUCT_LIMIT)
+        poly = poly_mul(power, poly, p, PRODUCT_LIMIT)
+        terms = len(poly)
+        guard_bytes(f"a Chern class of {terms} terms", CHERN_TERM_BYTES * terms)
     return ExtClass(cfg, {0: poly})
 
 
@@ -305,7 +295,7 @@ def power_of_regular(x):
     if d % reg_degree:
         return None
     a = d // reg_degree
-    # a*reg goes through total_chern, so the power is priced and built by digits
+    # a*reg goes through total_chern, so the power is built by digits under its limit
     rho = WeightMultiset(cfg, {v: a for v in regular_representation(cfg).weights})
     return a if total_chern(rho) == x else None
 

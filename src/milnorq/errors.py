@@ -45,6 +45,12 @@ def guard(needed, bound, message):
         raise ResourceGuardError(message)
 
 
+def guard_bytes(what, needed):
+    """Refuse work whose estimated peak, needed bytes, exceeds
+    DESK_SCALE_BYTES; what says what the work holds."""
+    guard(needed, DESK_SCALE_BYTES, f"{what}, about {needed} bytes; bound is {DESK_SCALE_BYTES}")
+
+
 def guard_points(cfg):
     """Refuse group-size work at more than DESK_SCALE_POINTS vectors p^n."""
     points = cfg.p**cfg.n

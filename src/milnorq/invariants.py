@@ -25,7 +25,7 @@ from functools import lru_cache
 from . import linalg, steenrod
 from .algebra import Config, ExtClass, LinearSubst, _perm_sign, substitute_linear
 from .backend import add_into, frobenius, poly_mul, poly_pow
-from .errors import DESK_SCALE_BYTES, ConsistencyError, guard, guard_points
+from .errors import DESK_SCALE_BYTES, ConsistencyError, guard_bytes, guard_points
 
 GRADE_PEAK_FACTOR = 4  # dense-solver peak / (8 x G^2) was 3.0-3.5, kept as a bound
 MEMBERSHIP_ROW_BYTES = 256  # dense-solver peak per monomial row, kept as a bound
@@ -290,12 +290,7 @@ def check_membership_bytes(cfg, d, degrees):
     if needed <= DESK_SCALE_BYTES < needed + MEMBERSHIP_CELL_BYTES * rows * rows:
         cols = sum(1 for _ in _compositions(d, degrees))
         needed += MEMBERSHIP_CELL_BYTES * rows * cols
-    guard(
-        needed,
-        DESK_SCALE_BYTES,
-        f"degree-{d} membership needs {rows} monomial rows, "
-        f"about {needed} bytes; bound is {DESK_SCALE_BYTES}",
-    )
+    guard_bytes(f"degree-{d} membership needs {rows} monomial rows", needed)
 
 
 def membership_dickson(x, ring):
@@ -427,12 +422,9 @@ def check_invariant_matrix_bytes(cfg, d):
     from the basis.
     """
     size = max(grade_sizes(cfg, d))
-    needed = GRADE_PEAK_FACTOR * size * size * 8
-    guard(
-        needed,
-        DESK_SCALE_BYTES,
-        f"degree-{d} invariants need {size}x{size} int64 matrices, "
-        f"about {needed} bytes; bound is {DESK_SCALE_BYTES}",
+    guard_bytes(
+        f"degree-{d} invariants need {size}x{size} int64 matrices",
+        GRADE_PEAK_FACTOR * size * size * 8,
     )
 
 

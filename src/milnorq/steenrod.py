@@ -15,7 +15,7 @@ import itertools
 
 from .algebra import ExtClass, _binomials_mod_p
 from .backend import add_into
-from .errors import DESK_SCALE_BYTES, guard
+from .errors import guard_bytes
 
 # the tracemalloc peak of a whole apply call per priced entry was 810-895 B
 # from 2 * 10^4 to 5 * 10^5 entries, and of reduced_power alone 108-649 B
@@ -115,13 +115,7 @@ def reduced_power(j, x):
     entries = sum(
         _split_count(mono[:-1] + (free,), j, p) for poly in x.parts.values() for mono in poly
     )
-    needed = POWER_ENTRY_BYTES * entries
-    guard(
-        needed,
-        DESK_SCALE_BYTES,
-        f"P^{j} builds up to {entries} partial terms, about {needed} bytes; "
-        f"bound is {DESK_SCALE_BYTES}",
-    )
+    guard_bytes(f"P^{j} builds up to {entries} partial terms", POWER_ENTRY_BYTES * entries)
     parts = {}
     for mask, poly in x.parts.items():
         target = parts.setdefault(mask, {})

@@ -6,6 +6,7 @@ independent of poly_mul's packed keys.  A hypothesis test also checks
 poly_mul against tests/oracles.py::poly_mul_dict, the plain dict loop.
 """
 
+import operator
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from milnorq import backend
 from milnorq.backend import add_into, frobenius, poly_mul, poly_pow
+from milnorq.errors import ResourceGuardError
 from oracles import poly_mul_dict
 
 sympy = pytest.importorskip("sympy")
@@ -233,8 +235,8 @@ def test_poly_pow_forms_no_product_past_its_digits(monkeypatch):
     # Frobenius image, where squaring would pass through (1 + t1 + t2)^512
     sizes = []
 
-    def recording(a, b, p):
-        product = poly_mul(a, b, p)
+    def recording(a, b, p, limit=None):
+        product = poly_mul(a, b, p, limit)
         sizes.append(len(product))
         return product
 
@@ -242,6 +244,21 @@ def test_poly_pow_forms_no_product_past_its_digits(monkeypatch):
     x = {(0, 0): 1, (1, 0): 1, (0, 1): 1}
     assert poly_pow(x, 3**6, 3, 2) == {(0, 0): 1, (729, 0): 1, (0, 729): 1}
     assert max(sizes) == 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_poly_mul_stops_at_its_limit(n):
+    # the accumulator holds every monomial of the sumset before reduction
+    # mod p; the last pass over the longer factor adds at most its length,
+    # so a limit below the sumset refuses and one a factor above it admits
+    rng = random.Random(f"limit:{n}")
+    for _ in range(5):
+        a = random_poly(rng, n, rng.randint(1, 30), 4, 5)
+        b = random_poly(rng, n, rng.randint(1, 30), 4, 5)
+        sumset = len({tuple(map(operator.add, x, y)) for x in a for y in b})
+        with pytest.raises(ResourceGuardError, match=f"could pass its bound of {sumset - 1} "):
+            poly_mul(a, b, 5, sumset - 1)
+        assert poly_mul(a, b, 5, sumset + max(len(a), len(b))) == poly_mul(a, b, 5)
 
 
 def test_empty_operands():

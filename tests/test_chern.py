@@ -27,7 +27,6 @@ from milnorq import (
     total_chern,
 )
 from milnorq import backend, chern
-from milnorq.backend import poly_pow
 from milnorq.chern import WeightMultiset, _coordinate_change
 from milnorq.errors import DESK_SCALE_BYTES
 from conftest import act, compose, linear_form, random_subst, regular_plus
@@ -205,20 +204,22 @@ def without(rho, weight):
 
 
 def priced_terms(rho):
-    """The larger of the two prices total_chern checks, in terms: its
-    factors before any product, then their product (not capped by degree)."""
-    cfg = rho.cfg
-    a, rest = chern._regular_part(rho)
-    rest_terms = chern._rest_terms(cfg, rest)
-    power = len(poly_pow(chern._regular_chern_poly(cfg), a, cfg.p, cfg.n))
-    return max(rest_terms + chern._regular_power_terms(cfg, a), power * rest_terms)
+    """The terms total_chern prices before any product: its rest's factors."""
+    return chern._rest_terms(rho.cfg, chern._regular_part(rho)[1])
 
 
-# each exits 0 from the CLI, in seconds
+# each exits 0 from the CLI; the a >= 1 ones hold their products under
+# chern.PRODUCT_LIMIT (test_cli.py runs the (3,4) ones and 2*reg minus a
+# weight at (5,3), whose c(reg) times 123 linear factors is c(reg)^2 / (1 + v)
+# with 418,737 terms, dense to C(250, 3) = 2,573,000)
 ADMITTED = {
     "3reg-at-3-4": lambda: regular_plus(Config(3, 4), 3),
+    "2reg-at-3-4": lambda: regular_plus(Config(3, 4), 2),
+    "reg-plus-t1-x80-at-3-4": lambda: regular_plus(Config(3, 4), 1, [((1, 0, 0, 0), 80)]),
     "reg-minus-one-at-5-3": lambda: without(regular_plus(Config(5, 3), 1), (1, 2, 3)),
     "2reg-at-5-3": lambda: regular_plus(Config(5, 3), 2),
+    "2reg-minus-one-at-5-3": lambda: without(regular_plus(Config(5, 3), 2), (1, 2, 3)),
+    "6reg-at-7-3": lambda: regular_plus(Config(7, 3), 6),
     "x2186-at-3-2": lambda: WeightMultiset(Config(3, 2), {(1, 1): 2186}),
 }
 
@@ -227,11 +228,11 @@ ADMITTED = {
 REFUSED = {
     "x6560-at-3-2": (
         lambda: WeightMultiset(Config(3, 2), {(1, 1): 6560}),
-        "a Chern class product of up to 1679617 terms",
+        "a Chern class product of up to 1679616 terms",
     ),
     "2reg-minus-one-at-3-4": (
         lambda: without(regular_plus(Config(3, 4), 2), (1, 2, 0, 1)),
-        "a Chern class product of up to 1973371 terms",
+        "a Chern class product of up to 1837620 terms",
     ),
 }
 
@@ -263,8 +264,6 @@ class TestGuard:
         a, rest = chern._regular_part(data.draw(split_multisets(cfg, a)))
         rest_class = total_chern(WeightMultiset(cfg, rest)) if rest else ExtClass.one(cfg)
         assert sum(map(len, rest_class.parts.values())) <= chern._rest_terms(cfg, rest)
-        power = poly_pow(chern._regular_chern_poly(cfg), a, p, n)
-        assert len(power) <= chern._regular_power_terms(cfg, a)
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3), (7, 2)])
     def test_a_single_weight_is_priced_exactly(self, p, n):
@@ -276,6 +275,23 @@ class TestGuard:
             rest = {v: m}
             terms = len(total_chern(WeightMultiset(Config(p, n), rest)).parts[0])
             assert terms == chern._rest_terms(Config(p, n), rest)
+
+    def test_regular_powers_stop_at_the_product_limit(self, monkeypatch):
+        # c(reg)^2 at (3,3) accumulates 935 monomials before reduction mod
+        # 3 (291 remain); the limit refuses it on the way and admits it with room
+        rho = regular_plus(Config(3, 3), 2)
+        monkeypatch.setattr(chern, "PRODUCT_LIMIT", 900)
+        with pytest.raises(ResourceGuardError, match="could pass its bound of 900 "):
+            total_chern(rho)
+        monkeypatch.setattr(chern, "PRODUCT_LIMIT", 2_000)
+        assert total_chern(rho) == total_chern(regular_plus(Config(3, 3), 1)) ** 2
+
+    def test_the_result_is_priced_from_its_length(self, monkeypatch):
+        rho = regular_plus(Config(3, 2), 1, [((1, 0), 4)])
+        terms = len(total_chern(rho).parts[0])
+        monkeypatch.setattr(chern, "CHERN_TERM_BYTES", DESK_SCALE_BYTES // terms + 1)
+        with pytest.raises(ResourceGuardError, match=f"a Chern class of {terms} terms"):
+            total_chern(rho)
 
 
 class TestRegularRepresentation:

@@ -12,27 +12,72 @@ from pathlib import Path
 import pytest
 
 import milnorq
-from milnorq import algebra, backend, chern, invariants, torus
+from milnorq import algebra, chern, invariants, torus
 from milnorq.cli import build_parser, main
 
 SRC = str(Path(milnorq.__file__).resolve().parent.parent)
 
+
+
+def regular_weights(p, n, a, changed=()):
+    """A weights file: every weight of V_n a times, those of changed as given."""
+    changed = dict(changed)
+    return "".join(
+        f"{','.join(map(str, v))} x{changed.get(v, a)}\n"
+        for v in itertools.product(range(p), repeat=n)
+    )
+
+
 # inputs whose work grows past the desk scale: 6^8 Chern terms, c(reg)
 # times 79 linear factors at (3,4), and C(303, 3) partial terms of P^300
-REG2_MINUS_ONE = "".join(
-    f"{','.join(map(str, v))} x{1 if v == (1, 2, 0, 1) else 2}\n"
-    for v in itertools.product(range(3), repeat=4)
-)
 GROWING = {
     "chern-rep-x6560": (["chern-rep", "-p", "3", "-n", "2"], "1,1 x6560\n"),
     "mu-x6560": (["mu", "-p", "3", "-n", "2"], "1,1 x6560\n"),
-    "chern-rep-2reg-minus-one": (["chern-rep", "-p", "3", "-n", "4"], REG2_MINUS_ONE),
+    "chern-rep-2reg-minus-one": (
+        ["chern-rep", "-p", "3", "-n", "4"],
+        regular_weights(3, 4, 2, {(1, 2, 0, 1): 1}),
+    ),
     "apply-P300": (
         ["apply", "-p", "3", "-n", "4", "--ops", "P300"]
         + ["--expr", "t1^6560*t2^6560*t3^6560*t4^6560"],
         None,
     ),
 }
+
+# inputs that fit: c(reg)^2 at (3,4) has 6,699 terms, reg plus 80 copies of
+# t1 has the degree of 2*reg, and 2*reg minus a weight at (5,3) builds c(reg)
+# times 123 linear factors, 418,737 terms from 1,446,357 monomials before
+# reduction mod 5, in about 40 s
+FITTING = {
+    "chern-rep-2reg-at-3-4": (["chern-rep", "-p", "3", "-n", "4"], regular_weights(3, 4, 2)),
+    "mu-2reg-at-3-4": (["mu", "-p", "3", "-n", "4"], regular_weights(3, 4, 2)),
+    "chern-rep-reg-plus-t1-x80-at-3-4": (
+        ["chern-rep", "-p", "3", "-n", "4"],
+        regular_weights(3, 4, 1, {(1, 0, 0, 0): 81}),
+    ),
+    "chern-rep-2reg-minus-one-at-5-3": (
+        ["chern-rep", "-p", "5", "-n", "3"],
+        regular_weights(5, 3, 2, {(1, 2, 3): 1}),
+    ),
+}
+
+
+def run_limited(tmp_path, argv, weights, timeout):
+    """argv in a fresh interpreter with 1 GB of address space."""
+    if weights is not None:
+        path = tmp_path / "weights.txt"
+        path.write_text(weights)
+        argv = argv + ["--weights", str(path)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "milnorq.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
 
 
 def run(capsys, argv):
@@ -293,43 +338,19 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("resource guard: a substitution expands into up to 129140164 terms")
 
-    def test_mu_prices_the_chern_product_before_multiplying(self, capsys, tmp_path, monkeypatch):
-        # (1 + t1 + t2)^6560 has 6^8 terms: mu reaches total_chern's guard
-        def unreachable(*args):
-            raise AssertionError("the guard let a product start")
-
-        monkeypatch.setattr(backend, "poly_mul", unreachable)
-        monkeypatch.setattr(chern, "poly_mul", unreachable)
-        path = tmp_path / "weights.txt"
-        path.write_text("1,1 x6560\n")
-        start = time.perf_counter()
-        code, out, err = run(capsys, ["mu", "-p", "3", "-n", "2", "--weights", str(path)])
-        assert time.perf_counter() - start < 1
-        assert (code, out) == (2, "")
-        assert err.startswith("resource guard: a Chern class product of up to 1679617 terms")
-
     @pytest.mark.parametrize("name", GROWING)
     def test_growing_inputs_exit_2_under_a_memory_limit(self, tmp_path, name):
-        # a fresh interpreter with 1 GB of address space: a guard that let
-        # the work start would die with a MemoryError or run past the timeout
-        argv, weights = GROWING[name]
-        if weights is not None:
-            path = tmp_path / "weights.txt"
-            path.write_text(weights)
-            argv = argv + ["--weights", str(path)]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "milnorq.cli", *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=30,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
-        )
+        # a guard that let the work start would die with a MemoryError or
+        # run past the timeout
+        done = run_limited(tmp_path, *GROWING[name], timeout=30)
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("resource guard:")
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("name", FITTING)
+    def test_fitting_inputs_exit_0_under_a_memory_limit(self, tmp_path, name):
+        done = run_limited(tmp_path, *FITTING[name], timeout=300)
+        assert (done.returncode, done.stderr) == (0, "")
 
     @pytest.mark.parametrize(
         "ops, expr, message",
