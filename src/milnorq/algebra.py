@@ -27,7 +27,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .backend import add_into, poly_mul
-from .errors import DESK_SCALE_BYTES, ConfigMismatchError, guard
+from .errors import ConfigMismatchError, guard_bytes
 
 # the tracemalloc peak of _shear per priced term was 43-359 B over p = 3..97
 # and n = 2..4, and 185-222 B at 10^5 to 2.7 * 10^6 terms
@@ -505,12 +505,6 @@ def substitute_linear(g, x):
             sum(_lucas_count(mono[i], p) for mono in poly) << (mask >> i & 1)
             for mask, poly in parts.items()
         )
-        needed = SHEAR_TERM_BYTES * terms
-        guard(
-            needed,
-            DESK_SCALE_BYTES,
-            f"a substitution expands into up to {terms} terms, "
-            f"about {needed} bytes; bound is {DESK_SCALE_BYTES}",
-        )
+        guard_bytes(f"a substitution expands into up to {terms} terms", SHEAR_TERM_BYTES * terms)
         parts = _shear(parts, i, j, c, p)
     return ExtClass(x.cfg, _monomial(parts, g.perm, g.diag, p))

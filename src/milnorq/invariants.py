@@ -6,11 +6,11 @@ whose only nonzero coefficients sit at X-exponents p^0..p^n and define the
 Dickson classes c_{n,i}; the class e_n = Q_0...Q_{n-1}(dt_1...dt_n), equal
 to a Moore determinant, which transforms by the determinant character;
 membership in D_n and SD_n by subduction over the generators' lead
-monomials; and the per-degree linear algebra of invariant dimensions.
+monomials; and the invariants of each degree.
 
-Only the grade solver of invariant_dimension builds matrices: sparse
-{column: value} rows, solved mod p by milnorq.linalg in pure Python, so
-no call of the package loads numpy.
+Only invariant_dimension builds matrices, one sparse kernel per exterior
+grade with a unit row for each term that the diagonal torus moves, solved
+mod p by milnorq.linalg in pure Python, so no call loads numpy.
 """
 
 from __future__ import annotations
@@ -411,13 +411,14 @@ def check_invariant_matrix_bytes(cfg, d):
     measured on the dense int64 solver that the sparse one replaced: with
     G from 500 to 2,730 (SL and GL at (3, 4), SL at (5, 3) and (97, 4))
     its tracemalloc peak was 3.0-3.5 x G^2 x 8 bytes.  The sparse rows hold
-    only the few Lucas-binomial terms of each g.v - v, so the estimate is
-    kept as an upper bound and refuses the same calls.  Sparse tracemalloc
-    peaks at (3, 4) SL, each degree in a fresh process: 43 KB against an
-    estimate of 51 KB at d = 5 (G = 40), falling to 0.033 of it at d = 20
-    (1.8 MB, G = 1,320) and 0.021 at d = 24 (3.2 MB, G = 2,184); at d <= 4
-    the whole call peaks at 4-24 KB, the size of a few dicts, above
-    estimates of 32 B to 18 KB.
+    a unit row per term the torus moves and the few Lucas-binomial terms
+    of each g.v - v on the others, so the estimate is kept as an upper
+    bound and refuses the same calls.  Sparse tracemalloc peaks at (3, 4)
+    SL, each degree in a fresh process once the modules have run: 29 KB
+    against an estimate of 51 KB at d = 5 (G = 40), falling to 0.023 of it
+    at d = 20 (1.3 MB, G = 1,320), 0.013 at d = 24 (2.1 MB, G = 2,184) and
+    0.008 at d = 33 (4.1 MB, G = 3,876); at d <= 4 the call peaks at 5-17
+    KB, the size of a few dicts, above estimates of 32 B to 18 KB.
     Nothing is allocated here: the grade sizes come from grade_sizes, not
     from the basis.
     """
@@ -428,79 +429,53 @@ def check_invariant_matrix_bytes(cfg, d):
     )
 
 
-def _grade_class(cfg, vec):
-    """The class with coordinates vec, a {(mask, mono): value} dict."""
-    parts = {}
-    for (mask, mono), c in vec.items():
-        parts.setdefault(mask, {})[mono] = c
-    return ExtClass(cfg, parts)
+def _torus_fixed(kind, p, mask, mono):
+    """Whether the diagonal torus of a group of this kind fixes t^mono dt_mask.
 
-
-def _moved(g, kern):
-    """The matrix whose column j is g.v - v mod p, for v the j-th row of kern.
-
-    Each g.v - v is a {(mask, mono): value} dict; the matrix holds one row
-    per basis element that some column reaches.
+    It scales the term by prod_k d_k^(f_k), f_k = mono[k] + [k in mask], so
+    it fixes it when, mod p - 1, every f_k is 0 (GL) or all agree (SL).
+    Another kind has no torus here and moves no term.
     """
-    p = g.cfg.p
-    rows = {}
-    for j, vec in enumerate(kern):
-        moved = {
-            (mask, mono): c
-            for mask, poly in substitute_linear(g, _grade_class(g.cfg, vec)).parts.items()
-            for mono, c in poly.items()
-        }
-        for key, c in add_into(moved, vec, -1, p).items():
-            rows.setdefault(key, {})[j] = c
-    return linalg.Matrix(list(rows.values()), len(kern))
+    f = {(e + (mask >> k & 1)) % (p - 1) for k, e in enumerate(mono)}
+    return {"GL": f == {0}, "SL": len(f) == 1}.get(kind, True)
 
 
 def invariant_dimension(group, d):
     """Dimension and echelonized basis of the degree-d invariants.
 
-    The basis spans the simultaneous kernel of (g - id) over all generators
-    acting on the degree-d piece of the full algebra.  Substitution keeps
-    the number of dt factors, so each exterior grade is solved on its own.
-    Within a grade the kernels are intersected one generator at a time:
-    the rows of K, {(mask, mono): value} dicts, span the invariants of the
-    generators so far (the unit rows of the grade to start with); for the
-    next generator g, the kernel of v -> g.v - v on the row space of K gives
-    the combinations of rows of K to keep.  group_generators lists the
-    monomial generators first, the n-cycle C and, for GL, the diagonal:
-    each g.v - v then only moves and scales coordinates, and K shrinks
-    before the one shear E_12(1) is expanded on it.  A grade stops as soon
-    as K is empty, without building the matrices of the remaining
-    generators.  K stays in reduced echelon form on the coordinates of its
-    grade, in the canonical order of _grade_basis, and the grades sit on
-    disjoint coordinates that ExtClass.iter_terms orders fewest dt factors
-    first, so together they give the reduced echelon basis of the whole
-    kernel.
+    Substitution keeps the number of dt factors, so each exterior grade is
+    one sparse kernel, whose unknowns are the grade's terms in the canonical
+    order of _grade_basis.  SL and GL contain their diagonal torus T, so
+    their invariants lie in the span of the T-fixed terms (Derksen & Kemper,
+    Computational Invariant Theory, ch. 3).  The kernel's rows are a unit
+    row for each term that T moves (T's own t - 1 rows, scaled to 1) and,
+    for each generator g, the rows of g - id on the T-fixed terms, so g is
+    applied to no moved term.  kernel_basis gives each grade's reduced
+    echelon basis; the grades sit on disjoint coordinates that
+    ExtClass.iter_terms orders fewest dt factors first, so together they
+    give the reduced echelon basis of the whole kernel.
     """
     cfg = group.cfg
     check_invariant_matrix_bytes(cfg, d)
     p = cfg.p
     classes = []
     for masks, m in _grades(cfg, d):
-        kern = [{key: 1} for key in _grade_basis(cfg.n, masks, m)]
+        basis = list(_grade_basis(cfg.n, masks, m))
+        fixed = [_torus_fixed(group.kind, p, *key) for key in basis]
+        rows = [{j: 1} for j, f in enumerate(fixed) if not f]
         for g in group.generators:
-            combos = linalg.kernel_basis(_moved(g, kern), p)
-            if not combos:
-                break
-            # kernel_basis returns reduced echelon rows, and a product of
-            # two reduced echelon matrices of full row rank is one too, so
-            # kern stays the canonical basis of its row space
-            kern = [_combine(combo, kern, p) for combo in combos]
-        else:
-            classes += [_grade_class(cfg, vec) for vec in kern]
+            moved = {}  # term -> its row of g - id, over the fixed terms
+            for j in itertools.compress(range(len(basis)), fixed):
+                mask, mono = basis[j]
+                image = substitute_linear(g, ExtClass(cfg, {mask: {mono: 1}})).parts
+                add_into(image.setdefault(mask, {}), {mono: 1}, -1, p)
+                for k, poly in image.items():
+                    for t, c in poly.items():
+                        moved.setdefault((k, t), {})[j] = c
+            rows += moved.values()
+        for vec in linalg.kernel_basis(linalg.Matrix(rows, len(basis)), p):
+            classes.append(ExtClass.from_terms(cfg, [(*basis[j], c) for j, c in vec.items()]))
     return len(classes), classes
-
-
-def _combine(combo, kern, p):
-    """sum_j combo[j] * kern[j] mod p, as a {(mask, mono): value} dict."""
-    out = {}
-    for j, c in combo.items():
-        add_into(out, kern[j], c, p)
-    return out
 
 
 def _qword_degrees(cfg):
@@ -522,16 +497,20 @@ def predicted_dimension(cfg, d, ring):
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
+    return _hilbert_series(cfg, d, ring)[d]
+
+
+def _hilbert_series(cfg, top, ring):
+    """[predicted_dimension(cfg, d, ring) for d in 0..top], from one pass."""
     ring = ring.upper()
     algebra = {"SD": "SD", "SM": "SD", "D": "D", "M": "D"}.get(ring)
     if algebra is None:
         raise ValueError(f"unknown ring {ring!r}")
     p, n = cfg.p, cfg.n
-    base = _generator_degrees(cfg, algebra).values()
-    ways = [0] * (d + 1)
+    ways = [0] * (top + 1)
     ways[0] = 1
-    for g in base:
-        for v in range(g, d + 1):
+    for g in _generator_degrees(cfg, algebra).values():
+        for v in range(g, top + 1):
             ways[v] += ways[v - g]
     if ring in ("SD", "D"):
         module = [0]
@@ -540,4 +519,4 @@ def predicted_dimension(cfg, d, ring):
     else:
         shift = (p - 2) * _generator_degrees(cfg, "SD")["e"]  # e^(p-2)
         module = [0, shift + n] + [shift + q for q in _qword_degrees(cfg)]
-    return sum(ways[d - g] for g in module if 0 <= d - g)
+    return [sum(ways[d - g] for g in module if g <= d) for d in range(top + 1)]

@@ -2,13 +2,14 @@
 
 A Matrix holds its rows as {column: value} dicts, zero entries unstored, and
 its column count.  The systems of invariant_dimension are almost all zeros
-(each column g.v - v has a few Lucas-binomial terms), so rref eliminates row
-by row and touches only stored entries (LaMacchia & Odlyzko, "Solving large
-sparse linear systems over finite fields", CRYPTO '90).  It keeps the pivot
-rows fully reduced as it goes: a new row is cleared at every pivot column it
-holds with one pass each, since no pivot row has an entry at another pivot
-column; its lowest remaining column becomes a pivot, and that column is
-cleared from the earlier pivot rows.  Values stay in 0..p-1.
+(unit rows, and columns g.v - v of a few Lucas-binomial terms), so rref
+eliminates row by row and touches only stored entries (LaMacchia & Odlyzko,
+"Solving large sparse linear systems over finite fields", CRYPTO '90).  It
+keeps the pivot rows fully reduced as it goes: a new row is cleared at
+every pivot column it holds with one pass each, since no pivot row has an
+entry at another pivot column; its lowest remaining column becomes a pivot,
+and that column is cleared from the earlier pivot rows if any has held it.
+Values stay in 0..p-1.
 """
 
 from __future__ import annotations
@@ -35,10 +36,12 @@ def rref(matrix, p):
 
     The result has the shape of matrix: its rows are the pivot rows in
     pivot order, then empty rows.  Entries are read mod p; a column outside
-    0..ncols-1 raises ValueError.  matrix is not changed.
+    0..ncols-1 raises ValueError.  matrix is not changed.  Unit rows cost
+    one step each: no earlier pivot row has held their column.
     """
     ncols = matrix.ncols
     pivot_rows = {}  # pivot column -> its row, 1 at the pivot
+    held = set()  # every column that some pivot row has held
     for row in matrix.rows:
         row = {c: r for c, v in row.items() if (r := v % p)}
         if not row:
@@ -53,10 +56,12 @@ def rref(matrix, p):
         inv = pow(row[lead], -1, p)
         if inv != 1:
             row = {c: v * inv % p for c, v in row.items()}
-        for other in pivot_rows.values():
-            v = other.get(lead)
-            if v:
-                add_into(other, row, -v, p)
+        if lead in held:
+            for other in pivot_rows.values():
+                v = other.get(lead)
+                if v:
+                    add_into(other, row, -v, p)
+        held.update(row)
         pivot_rows[lead] = row
     pivots = sorted(pivot_rows)
     rows = [pivot_rows[c] for c in pivots]

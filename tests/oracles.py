@@ -11,10 +11,10 @@
 - Degree bases: degree_basis_sorted sorts every (mask, monomial) pair of
   the degree by the canonical term order, where invariants._grade_basis
   lists each exterior grade of invariants._grades already in order.
-- Invariants: invariant_dimension_stacked solves one stacked system of all
-  (g - id) blocks over the sorted basis of the whole degree, where
-  invariant_dimension works one exterior grade and one generator at a
-  time.
+- Invariants: invariant_dimension_stacked solves one dense stacked system
+  of all (g - id) blocks over the sorted basis of the whole degree, with no
+  torus, where invariant_dimension solves one sparse kernel per exterior
+  grade, with a unit row for each term that the diagonal torus moves.
 - Total Chern classes: total_chern_sequential multiplies the factors
   (1 + v)^m into one running product in weight order, where
   chern.total_chern splits off a*reg and builds c(reg) by a coset tree.

@@ -17,7 +17,7 @@ from milnorq import (
     group_generators,
     substitute_linear,
 )
-from milnorq import algebra
+from milnorq import algebra, errors
 from milnorq.algebra import _binomials_mod_p, _lucas_count
 from conftest import CONFIGS, compose, linear_form, random_class, random_homogeneous, random_subst
 from oracles import det_by_permutations, substitute_linear_expanded
@@ -419,8 +419,8 @@ class TestShearFactors:
         g = LinearSubst.transvection(cfg, 1, 2)
         y = substitute_linear(g, x)
         assert sum(map(len, y.parts.values())) == 54
-        monkeypatch.setattr(algebra, "DESK_SCALE_BYTES", algebra.SHEAR_TERM_BYTES * 54)
+        monkeypatch.setattr(errors, "DESK_SCALE_BYTES", algebra.SHEAR_TERM_BYTES * 54)
         assert substitute_linear(g, x) == y
-        monkeypatch.setattr(algebra, "DESK_SCALE_BYTES", algebra.SHEAR_TERM_BYTES * 54 - 1)
+        monkeypatch.setattr(errors, "DESK_SCALE_BYTES", algebra.SHEAR_TERM_BYTES * 54 - 1)
         with pytest.raises(ResourceGuardError, match="up to 54 terms"):
             substitute_linear(g, x)

@@ -309,6 +309,20 @@ class TestExitCodes:
         assert out == ""
         assert "resource guard" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_hilbert_prices_its_range_before_the_first_degree(self, capsys, monkeypatch, extra):
+        # at n = 1 every grade has one term, so only the rows and lines of
+        # 10^9 + 1 degrees can refuse it, before any degree or series runs
+        def unreachable(*args):
+            raise AssertionError("the range was not priced first")
+
+        for name in ("invariant_dimension", "check_invariant_matrix_bytes", "_hilbert_series"):
+            monkeypatch.setattr(invariants, name, unreachable)
+        argv = ["hilbert", "-p", "3", "-n", "1", "--group", "sl", "--max-degree", "1000000000"]
+        code, out, err = run(capsys, argv + extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("resource guard: rows and lines for 1000000001 degrees, about ")
+
     def test_membership_refuses_before_building_monomials(self, capsys, monkeypatch):
         # degree 1200 at (3, 4) has 36,361,101 monomials; refused at once,
         # priced from the generator degrees before f_n is built

@@ -615,6 +615,56 @@ class TestInvariantDimension:
             got = invariant_dimension(group, d)
             assert got == invariant_dimension_stacked(group, d), (kind, d)
 
+    @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (3, 3)])
+    @pytest.mark.parametrize("kind", ["SL", "GL"])
+    def test_torus_rule_matches_every_diagonal_matrix(self, p, n, kind):
+        # a term is T-fixed exactly when every diagonal matrix of the torus
+        # (of det 1 for SL) leaves it unchanged
+        cfg = Config(p, n)
+        torus = [
+            LinearSubst.diagonal(cfg, list(diag))
+            for diag in itertools.product(range(1, p), repeat=n)
+            if kind == "GL" or math.prod(diag) % p == 1
+        ]
+        for d in range(13):
+            for masks, m in _grades(cfg, d):
+                for mask, mono in _grade_basis(n, masks, m):
+                    term = ExtClass(cfg, {mask: {mono: 1}})
+                    fixed = all(substitute_linear(t, term) == term for t in torus)
+                    assert invariants._torus_fixed(kind, p, mask, mono) == fixed, (d, mask, mono)
+
+    @PROPERTY
+    @given(
+        st.sampled_from([(3, 1, 12), (5, 1, 12), (3, 2, 12), (5, 2, 12), (7, 2, 12), (3, 3, 8)]),
+        st.sampled_from(["SL", "GL"]),
+        st.data(),
+    )
+    def test_random_degrees_match_the_dense_route(self, case, kind, data):
+        # the oracle solves one dense system on the whole degree, with no torus
+        p, n, dmax = case
+        d = data.draw(st.integers(0, dmax), label="d")
+        group = group_generators(Config(p, n), kind)
+        assert invariant_dimension(group, d) == invariant_dimension_stacked(group, d)
+
+    @pytest.mark.parametrize(
+        "p, n, kind, d", [(3, 2, "GL", 12), (3, 3, "SL", 8), (5, 3, "SL", 10), (3, 4, "GL", 9)]
+    )
+    def test_only_torus_fixed_terms_are_substituted(self, monkeypatch, p, n, kind, d):
+        cfg = Config(p, n)
+        group = group_generators(cfg, kind)
+        calls = []
+
+        def counted(g, x):
+            calls.append(x)
+            return substitute_linear(g, x)
+
+        monkeypatch.setattr(invariants, "substitute_linear", counted)
+        invariant_dimension(group, d)
+        terms = [key for masks, m in _grades(cfg, d) for key in _grade_basis(n, masks, m)]
+        fixed = sum(invariants._torus_fixed(kind, p, *key) for key in terms)
+        assert 0 < fixed < len(terms)
+        assert len(calls) == len(group.generators) * fixed
+
     def test_peak_memory_stays_under_the_guard_estimate(self):
         # the guard prices G x G int64 matrices for the largest grade G
         cfg = Config(3, 4)
@@ -632,7 +682,7 @@ class TestInvariantDimension:
             assert peak < estimate, d
 
     def test_sparse_rows_keep_degree_twenty_small(self):
-        # about 1.8 MB with sparse rows; the dense int64 solver peaked at 42.5 MB
+        # about 1.3 MB with sparse rows; the dense int64 solver peaked at 42.5 MB
         cfg = Config(3, 4)
         group = group_generators(cfg, "SL")
         tracemalloc.start()
@@ -681,6 +731,13 @@ class TestPredictedDimension:
             for d in range(dmax + 1):
                 dim, _ = invariant_dimension(group, d)
                 assert dim == predicted_dimension(cfg, d, ring), (p, n, d, ring)
+
+    @pytest.mark.parametrize("p, n, top", [(3, 1, 30), (3, 2, 60), (5, 3, 120), (3, 4, 200)])
+    def test_one_series_for_a_range(self, p, n, top):
+        cfg = Config(p, n)
+        for ring in ("SD", "D", "SM", "m"):
+            series = invariants._hilbert_series(cfg, top, ring)
+            assert series == [predicted_dimension(cfg, d, ring) for d in range(top + 1)], ring
 
     def test_base_ring_series(self):
         cfg = Config(3, 2)

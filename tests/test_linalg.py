@@ -107,6 +107,18 @@ class TestRref:
             assert red.rows[r][c] == 1
             assert all(c not in row for row in red.rows[:r] + red.rows[r + 1:])
 
+    def test_diagonal_and_held_lead_columns(self, p):
+        # a diagonal matrix never clears an earlier pivot row; in the
+        # second, the lead column 2 of the last row is held by the first
+        # pivot row, which must be cleared there
+        diagonal = np.diag([2, 1, p - 1, 5, 4])[[3, 0, 4, 1, 2]]
+        held = np.array([[1, 0, 2, 0], [0, 1, 0, 1], [0, 0, 2, 0], [0, 0, 0, 0]])
+        for a in (diagonal, held):
+            red, pivots = rref(sparse(a), p)
+            dense_red, dense_pivots = rref_dense(a, p)
+            assert pivots == dense_pivots
+            assert np.array_equal(dense(red.rows, red.ncols), dense_red)
+
     def test_empty_matrices(self, p):
         for shape in [(0, 4), (4, 0), (0, 0)]:
             red, pivots = rref(sparse(np.zeros(shape, dtype=np.int64)), p)
