@@ -18,6 +18,7 @@ this one; with imports inside the handlers it would find none of them.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import algebra, chern, exprio, invariants, steenrod, torus
@@ -33,6 +34,9 @@ from .errors import (
 # hilbert's rows and lines per degree: whole n = 1 calls peaked (tracemalloc)
 # at 364-518 B a degree for 2 * 10^4 to 10^5 degrees, 958 B for 2,001
 _HILBERT_DEGREE_BYTES = 1024
+# reading and parsing a weights file peaked (tracemalloc) at up to 61 B a
+# byte, for files of one-digit lines
+_WEIGHTS_FILE_BYTES = 128
 
 
 def _add_common(sub, with_n=True):
@@ -120,8 +124,8 @@ def cmd_hilbert(args, cfg):
     guard_bytes(f"rows and lines for {len(degrees)} degrees", _HILBERT_DEGREE_BYTES * len(degrees))
     group = invariants.group_generators(cfg, args.group)
     ring = "SM" if group.kind == "SL" else "M"
-    for d in degrees:
-        invariants.check_invariant_matrix_bytes(cfg, d)  # refuse before any work
+    for d in reversed(degrees):  # refuse before any work, the top degrees first
+        invariants.check_invariant_matrix_bytes(group, d)
     rows = []
     for d, pred in enumerate(invariants._hilbert_series(cfg, args.max_degree, ring)):
         dim, _ = invariants.invariant_dimension(group, d)
@@ -194,6 +198,8 @@ def cmd_chern_reg(args, cfg):
 
 def _load_weights(args, cfg):
     with open(args.weights, encoding="utf-8") as fh:
+        size = os.fstat(fh.fileno()).st_size  # priced before it is read
+        guard_bytes(f"a weights file of {size} bytes", _WEIGHTS_FILE_BYTES * size)
         return chern.WeightMultiset.parse(fh.read(), cfg)
 
 

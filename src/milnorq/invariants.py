@@ -11,6 +11,20 @@ monomials; and the invariants of each degree.
 Only invariant_dimension builds matrices, one sparse kernel per exterior
 grade with a unit row for each term that the diagonal torus moves, solved
 mod p by milnorq.linalg in pure Python, so no call loads numpy.
+check_invariant_matrix_bytes prices it from counts of the terms and row
+entries it stores, with no term listed.  Its constants were fitted to
+tracemalloc peaks, each degree in a fresh process once the modules ran:
+
+    group                  degrees               peak        peak / price
+    (3,4) SL, GL           0..80                 <= 95 MB    <= 0.44
+    (5,3), (7,3) SL, GL    to 100, to 120        <= 5.6 MB   <= 0.50
+    (97,4) SL, GL          0..40                 <= 8.7 MB   <= 0.48
+    (3,2) SL               100..6000             <= 77 MB    <= 0.53
+    (3,2) SL               7000, 8000            144, 207 MB 0.55, 0.61
+    (3,2) SL               5001, all moved       5.5 MB      0.71
+    (3,3), (3,2) E_12      0..40, 200..800       <= 2.5 MB   <= 0.21
+
+At (3,2) the ratio climbs with d, as rref's fill-in outgrows the rows.
 """
 
 from __future__ import annotations
@@ -23,13 +37,14 @@ from functools import lru_cache
 # modules, not their functions: a module runs on its first use (see
 # milnorq/__init__.py), so a call that needs neither runs neither
 from . import linalg, steenrod
-from .algebra import Config, ExtClass, LinearSubst, _perm_sign, substitute_linear
+from .algebra import Config, ExtClass, LinearSubst, _lucas_count, _perm_sign, substitute_linear
 from .backend import add_into, frobenius, poly_mul, poly_pow
-from .errors import DESK_SCALE_BYTES, ConsistencyError, guard_bytes, guard_points
+from .errors import ConsistencyError, guard_bytes, guard_points
 
-GRADE_PEAK_FACTOR = 4  # dense-solver peak / (8 x G^2) was 3.0-3.5, kept as a bound
-MEMBERSHIP_ROW_BYTES = 256  # dense-solver peak per monomial row, kept as a bound
-MEMBERSHIP_CELL_BYTES = 96  # and per (monomial, candidate) cell
+# check_invariant_matrix_bytes: bytes per term of a grade, per row entry, per call
+_TERM_BYTES, _ENTRY_BYTES, _CALL_BYTES = 1024, 512, 1 << 16
+_SUBDUCTION_ROW_BYTES = 1024  # membership_dickson peaked (tracemalloc) at 4-339 B a row
+_ORBIT_VECTOR_BYTES = 256  # orbit_size peaked (tracemalloc) at 102-147 B a vector
 CACHE_ENTRIES = 16  # least recently used entries kept by the Dickson cache
 
 
@@ -260,37 +275,28 @@ def ring_generators(cfg, ring):
 
 
 def _compositions(total, degrees):
-    """Exponent tuples E >= 0 with sum(E[i] * degrees[i]) == total."""
-    if not degrees:
-        if total == 0:
-            yield ()
+    """Exponent tuples E >= 0 with sum(E[i] * degrees[i]) == total, for
+    one or more degrees; the last exponent is a quotient, not a search."""
+    head, others = degrees[0], degrees[1:]
+    if not others:
+        if total % head == 0:
+            yield (total // head,)
         return
-    head = degrees[0]
     for k in range(total // head + 1):
-        for rest in _compositions(total - k * head, degrees[1:]):
+        for rest in _compositions(total - k * head, others):
             yield (k,) + rest
 
 
-def check_membership_bytes(cfg, d, degrees):
-    """Raise ResourceGuardError unless membership_dickson at degree d fits
-    under DESK_SCALE_BYTES by an estimate of its peak.
+def check_membership_bytes(cfg, d):
+    """Refuse membership_dickson at degree d past _SUBDUCTION_ROW_BYTES a row.
 
-    The estimate is MEMBERSHIP_ROW_BYTES x rows + MEMBERSHIP_CELL_BYTES x
-    rows x cols for rows monomials and cols candidate products, measured
-    on the dense solver that subduction replaced: tracemalloc peaks at
-    (3, 2) to (3, 4), up to 708,561 rows and 251 candidates, were about
-    200 B a row plus 44-71 B a cell.  Subduction holds the remainder and
-    one product g^E, each of at most rows terms, so the estimate is kept as
-    an upper bound and refuses the same calls.  rows is a binomial; the
-    candidates, at most rows as Dickson monomials are linearly independent,
-    are counted only when rows alone fits and cols = rows would not.
+    Subduction holds the remainder and a product g^E with its partial
+    products, each homogeneous of degree d, so each has at most rows
+    terms: the monomials of degree d / 2, a binomial.  The constant pays
+    for a few such dicts and poly_mul's accumulator.
     """
     rows = math.comb(d // 2 + cfg.n - 1, cfg.n - 1)
-    needed = MEMBERSHIP_ROW_BYTES * rows
-    if needed <= DESK_SCALE_BYTES < needed + MEMBERSHIP_CELL_BYTES * rows * rows:
-        cols = sum(1 for _ in _compositions(d, degrees))
-        needed += MEMBERSHIP_CELL_BYTES * rows * cols
-    guard_bytes(f"degree-{d} membership needs {rows} monomial rows", needed)
+    guard_bytes(f"degree-{d} membership needs {rows} monomial rows", _SUBDUCTION_ROW_BYTES * rows)
 
 
 def membership_dickson(x, ring):
@@ -299,8 +305,8 @@ def membership_dickson(x, ring):
     Returns {exponent tuple: coefficient} over the ring's generator list
     (ring_generators order), or None when x is not a member.  The zero class
     yields the empty decomposition.  check_membership_bytes prices the work
-    from the generator degrees, before the generators, any monomial or any
-    product is built.
+    from d alone, before the generators, any monomial or any product is
+    built.
 
     Decided by subduction (Robbiano & Sweedler, "Subalgebra bases", 1990).
     In lex order with t_1 first, the generators' lead monomials have
@@ -320,7 +326,7 @@ def membership_dickson(x, ring):
         return {}
     d = x.degree()
     degrees = list(_generator_degrees(cfg, ring).values())
-    check_membership_bytes(cfg, d, degrees)
+    check_membership_bytes(cfg, d)
     if next(_compositions(d, degrees), None) is None:
         return None
     p, n = cfg.p, cfg.n
@@ -388,6 +394,8 @@ def orbit_size(group, start):
         raise ValueError("start vector has wrong length")
     if not any(start):
         raise ValueError("zero start vector rejected")
+    vectors = p**cfg.n - 1  # the orbit holds at most every nonzero vector
+    guard_bytes(f"an orbit of up to {vectors} vectors", _ORBIT_VECTOR_BYTES * vectors)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -402,31 +410,41 @@ def orbit_size(group, start):
     return len(seen)
 
 
-def check_invariant_matrix_bytes(cfg, d):
-    """Raise ResourceGuardError unless invariant_dimension at degree d fits
-    under DESK_SCALE_BYTES by an estimate of its peak.
+def check_invariant_matrix_bytes(group, d):
+    """Refuse invariant_dimension(group, d) if what it stores passes the bound.
 
-    invariant_dimension solves one exterior grade at a time.  The estimate
-    is GRADE_PEAK_FACTOR x G^2 x 8 bytes for the largest grade size G,
-    measured on the dense int64 solver that the sparse one replaced: with
-    G from 500 to 2,730 (SL and GL at (3, 4), SL at (5, 3) and (97, 4))
-    its tracemalloc peak was 3.0-3.5 x G^2 x 8 bytes.  The sparse rows hold
-    a unit row per term the torus moves and the few Lucas-binomial terms
-    of each g.v - v on the others, so the estimate is kept as an upper
-    bound and refuses the same calls.  Sparse tracemalloc peaks at (3, 4)
-    SL, each degree in a fresh process once the modules have run: 29 KB
-    against an estimate of 51 KB at d = 5 (G = 40), falling to 0.023 of it
-    at d = 20 (1.3 MB, G = 1,320), 0.013 at d = 24 (2.1 MB, G = 2,184) and
-    0.008 at d = 33 (4.1 MB, G = 3,876); at d <= 4 the call peaks at 5-17
-    KB, the size of a few dicts, above estimates of 32 B to 18 KB.
-    Nothing is allocated here: the grade sizes come from grade_sizes, not
-    from the basis.
+    Counted, not listed: per grade of G terms, a unit row per moved term
+    and, per T-fixed term v (a class e = r mod q by _torus_fixed's rule; no
+    torus is one class mod 1) and generator g, the entries of g.v - v: 2
+    for a monomial matrix, 1 + _lucas_count of the sheared exponent (twice
+    that if v holds the sheared dt) for one shear, G for more, capped by G.
+    _ENTRY_BYTES also pays for row copies, kernel and rref fill-in.
     """
-    size = max(grade_sizes(cfg, d))
-    guard_bytes(
-        f"degree-{d} invariants need {size}x{size} int64 matrices",
-        GRADE_PEAK_FACTOR * size * size * 8,
-    )
+    cfg = group.cfg
+    p, n = cfg.p, cfg.n
+    q = p - 1 if group.kind in ("GL", "SL") else 1
+
+    def count(r, m):  # the monomials of degree m with every e_k = r[k] mod q
+        y, rem = divmod(m - sum(r), q)
+        return math.comb(y + len(r) - 1, len(r) - 1) if y >= 0 and not rem else 0
+
+    sizes = grade_sizes(cfg, d)
+    entries = sum(sizes)  # a unit row per term, less the fixed terms below
+    for (masks, m), size in zip(_grades(cfg, d), sizes):
+        for mask, c in itertools.product(masks, range(q if group.kind == "SL" else 1)):
+            r = [(c - (mask >> k & 1)) % q for k in range(n)]
+            fixed = count(r, m)
+            entries -= fixed
+            for g in group.generators if fixed else ():
+                if len(g.shears) != 1:
+                    entries += fixed * (size if g.shears else 2)
+                    continue
+                i = g.shears[0][0]
+                for a in range(r[i], m + 1, q):
+                    image = _lucas_count(a, p) << (mask >> i & 1)
+                    entries += count(r[:i] + r[i + 1:], m - a) * min(size, image + 1)
+    what = f"degree-{d} invariants store up to {sum(sizes)} terms and {entries} row entries"
+    guard_bytes(what, _CALL_BYTES + _TERM_BYTES * sum(sizes) + _ENTRY_BYTES * entries)
 
 
 def _torus_fixed(kind, p, mask, mono):
@@ -456,7 +474,7 @@ def invariant_dimension(group, d):
     give the reduced echelon basis of the whole kernel.
     """
     cfg = group.cfg
-    check_invariant_matrix_bytes(cfg, d)
+    check_invariant_matrix_bytes(group, d)
     p = cfg.p
     classes = []
     for masks, m in _grades(cfg, d):

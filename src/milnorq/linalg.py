@@ -8,7 +8,8 @@ eliminates row by row and touches only stored entries (LaMacchia & Odlyzko,
 keeps the pivot rows fully reduced as it goes: a new row is cleared at
 every pivot column it holds with one pass each, since no pivot row has an
 entry at another pivot column; its lowest remaining column becomes a pivot,
-and that column is cleared from the earlier pivot rows if any has held it.
+and that column is cleared from the earlier pivot rows that hold it, which
+an index from each non-pivot column to its holders names without a scan.
 Values stay in 0..p-1.
 """
 
@@ -36,12 +37,13 @@ def rref(matrix, p):
 
     The result has the shape of matrix: its rows are the pivot rows in
     pivot order, then empty rows.  Entries are read mod p; a column outside
-    0..ncols-1 raises ValueError.  matrix is not changed.  Unit rows cost
-    one step each: no earlier pivot row has held their column.
+    0..ncols-1 raises ValueError.  matrix is not changed.  A new pivot
+    touches only the pivot rows that hold its column, so a unit row whose
+    column no pivot row holds costs one step.
     """
     ncols = matrix.ncols
     pivot_rows = {}  # pivot column -> its row, 1 at the pivot
-    held = set()  # every column that some pivot row has held
+    holders = {}  # non-pivot column -> the pivot columns whose rows hold it
     for row in matrix.rows:
         row = {c: r for c, v in row.items() if (r := v % p)}
         if not row:
@@ -56,12 +58,17 @@ def rref(matrix, p):
         inv = pow(row[lead], -1, p)
         if inv != 1:
             row = {c: v * inv % p for c, v in row.items()}
-        if lead in held:
-            for other in pivot_rows.values():
-                v = other.get(lead)
-                if v:
-                    add_into(other, row, -v, p)
-        held.update(row)
+        for held_by in holders.pop(lead, ()):
+            other = pivot_rows[held_by]
+            add_into(other, row, -other[lead], p)
+            for c in row:
+                if c in other:
+                    holders.setdefault(c, set()).add(held_by)
+                elif c != lead:
+                    holders[c].discard(held_by)
+        for c in row:
+            if c != lead:
+                holders.setdefault(c, set()).add(lead)
         pivot_rows[lead] = row
     pivots = sorted(pivot_rows)
     rows = [pivot_rows[c] for c in pivots]

@@ -10,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import milnorq
 from milnorq import algebra, chern, invariants, torus
@@ -260,6 +262,20 @@ class TestWeightsFiles:
         assert out == ""
         assert "resource guard" in err
 
+    @pytest.mark.parametrize("command", ["chern-rep", "mu"])
+    def test_a_large_file_is_priced_before_it_is_read(self, capsys, tmp_path, monkeypatch, command):
+        # a sparse file of 84 MB: its size is refused, no byte of it is read
+        def unreachable(*args):
+            raise AssertionError("the file was read")
+
+        monkeypatch.setattr(chern.WeightMultiset, "parse", unreachable)
+        path = tmp_path / "weights.txt"
+        with open(path, "wb") as fh:
+            fh.truncate(84 << 20)
+        code, out, err = run(capsys, [command, "-p", "3", "-n", "2", "--weights", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("resource guard: a weights file of 88080384 bytes, about ")
+
     def test_missing_file(self, capsys):
         code, _, err = run(
             capsys, ["mu", "-p", "3", "-n", "2", "--weights", "/nonexistent"]
@@ -297,17 +313,17 @@ class TestExitCodes:
         assert "resource guard" in err
 
     def test_hilbert_refuses_matrices_beyond_the_byte_bound(self, capsys, monkeypatch):
-        # degree 40 at (97, 4) would need about 2.7 GB of matrices; the
-        # guard must refuse before any degree is computed
+        # degree 200 at (97, 4) stores 1,373,701 terms, about 2.1 GB; the
+        # top degree is priced first, before any degree is computed
         def unreachable(*args):
             raise AssertionError("the guard let the call through")
 
         monkeypatch.setattr(invariants, "monomials", unreachable)
-        argv = ["hilbert", "-p", "97", "-n", "4", "--group", "sl", "--max-degree", "40"]
+        argv = ["hilbert", "-p", "97", "-n", "4", "--group", "sl", "--max-degree", "200"]
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
-        assert "resource guard" in err
+        assert err.startswith("resource guard: degree-200 invariants store up to 1373701 terms")
 
     @pytest.mark.parametrize("extra", [[], ["--json"]])
     def test_hilbert_prices_its_range_before_the_first_degree(self, capsys, monkeypatch, extra):
@@ -533,6 +549,86 @@ EVERY_SUBCOMMAND = [
     ["prop-iso", "-p", "3", "-n", "2"],
     ["e8-adjoint", "-p", "5"],
 ]
+
+
+# extreme inputs of every subcommand: -p and -n at and past the ends of
+# their ranges, and each growing option at a value that is refused or
+# fits.  Weights files are named by their key in extreme_weights.
+HUGE = "1" + "0" * 30
+EXTREME_P = ["97", "3", HUGE]
+EXTREME_N = ["4", "1", "2", "1000000000"]
+EXTREME_WEIGHTS = {
+    "sparse-84MB": 84 << 20,
+    "x6560": "1,1 x6560\n",
+    "one-x1e18": "1 x1000000000000000000\n",
+    "four-x1e18": "1,2,3,4 x1000000000000000000\n",
+}
+EXTREME_ARGS = {
+    "dickson": [[]],
+    "moore": [[]],
+    "apply": [
+        ["--ops", ops, "--expr", expr]
+        for ops in ("P300", "P1000000000", "Q60,Q61")
+        for expr in ("t1^6560*t2^6560*t3^6560*t4^6560", "t1^1000000000*dt1")
+    ],
+    "invariance": [
+        ["--group", group, "--expr", expr]
+        for group in ("sl", "gl")
+        for expr in ("t1^129140162 + t2^129140162", "t1^1000000000*dt1")
+    ],
+    "membership": [
+        ["--ring", ring, "--expr", f"t1^{a}"]
+        for ring in ("d", "sd")
+        for a in (324, 1000000000, 2000000, 600)
+    ],
+    "orbit": [
+        ["--group", group, "--start", start]
+        for group in ("gl", "sl")
+        for start in ("1,0,0,0", "1", "0,0")
+    ],
+    "hilbert": [
+        ["--group", group, "--max-degree", top]
+        for group in ("sl", "gl")
+        for top in ("200", "1000000000", "-1")
+    ],
+    "theorem-main": [["--a-max", a] for a in ("1000000000", "0", "1")],
+    "chern-reg": [[]],
+    "chern-rep": [["--weights", name] for name in EXTREME_WEIGHTS],
+    "mu": [["--weights", name] for name in EXTREME_WEIGHTS],
+    "prop-iso": [[]],
+    "e8-adjoint": [["--trunc", trunc] for trunc in ("1000000000", "241", "0", "-5")],
+}
+SELF_CHECKED = {"hilbert", "theorem-main", "chern-reg", "prop-iso"}  # may exit 1
+
+
+@pytest.fixture(scope="module")
+def extreme_weights(tmp_path_factory):
+    """EXTREME_WEIGHTS written out; an int is the size of a sparse file."""
+    folder = tmp_path_factory.mktemp("weights")
+    paths = {}
+    for name, body in EXTREME_WEIGHTS.items():
+        path = folder / name
+        with open(path, "wb") as fh:
+            if isinstance(body, int):
+                fh.truncate(body)
+            else:
+                fh.write(body.encode())
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("command", EXTREME_ARGS)
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from(EXTREME_P), n=st.sampled_from(EXTREME_N), data=st.data())
+def test_extreme_inputs_exit_cleanly_under_a_memory_limit(extreme_weights, command, p, n, data):
+    # each call is refused (2) or finishes (0, or 1 for a failed self-check)
+    # in a fresh interpreter with 1 GB of address space, with no traceback
+    args = data.draw(st.sampled_from(EXTREME_ARGS[command]), label="args")
+    args = [extreme_weights.get(a, a) for a in args]
+    argv = [command, "-p", p] + ([] if command == "e8-adjoint" else ["-n", n]) + args
+    done = run_limited(None, argv, None, timeout=60)
+    assert done.returncode in ({0, 1, 2} if command in SELF_CHECKED else {0, 2}), argv
+    assert "Traceback" not in done.stderr, argv
 
 
 def subcommands(parser):

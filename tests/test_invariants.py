@@ -395,8 +395,8 @@ class TestMembership:
             # 5,774,275 monomial rows of degree 648: refused on rows alone
             (3, 4, 324, "5774275 monomial rows"),
             (3, 4, 600, "monomial rows"),
-            # 20,001 rows but 834 candidates: refused on rows x candidates
-            (3, 2, 20000, "20001 monomial rows"),
+            # 2,000,001 monomial rows at (3, 2); 20,001 rows at degree 40,000 fit
+            (3, 2, 2000000, "2000001 monomial rows"),
         ],
     )
     def test_guard_refuses_before_building_monomials(self, monkeypatch, p, n, a, match):
@@ -415,13 +415,7 @@ class TestMembership:
     @pytest.mark.parametrize("p, n, ring, a", [(3, 3, "D", 240), (3, 2, "SD", 1000)])
     def test_peak_memory_stays_under_the_guard_estimate(self, p, n, ring, a):
         cfg = Config(p, n)
-        _, gens = ring_generators(cfg, ring)
-        d = 2 * a
-        rows = math.comb(a + n - 1, n - 1)
-        cols = sum(1 for _ in invariants._compositions(d, [g.degree() for g in gens]))
-        assert cols > 1
-        estimate = invariants.MEMBERSHIP_ROW_BYTES * rows
-        estimate += invariants.MEMBERSHIP_CELL_BYTES * rows * cols
+        estimate = invariants._SUBDUCTION_ROW_BYTES * math.comb(a + n - 1, n - 1)
         tracemalloc.start()
         try:
             membership_dickson(ExtClass.t(cfg, 1) ** a, ring)
@@ -566,7 +560,8 @@ class TestInvariantDimension:
                 assert grade_sizes(cfg, d) == [len(list(r)) for _, r in runs], (n, d)
 
     def test_matrix_guard_refuses_before_allocating(self, monkeypatch):
-        # the largest grade has 9,240 elements: 4 x 9,240^2 x 8 B = 2.7 GB
+        # degree 200 has 1,373,701 terms, almost all moved by the torus:
+        # above 1 GB at 1,024 B a term, counted without listing one
         cfg = Config(97, 4)
         group = group_generators(cfg, "SL")
 
@@ -576,8 +571,8 @@ class TestInvariantDimension:
         monkeypatch.setattr(invariants, "monomials", unreachable)
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceGuardError, match="9240x9240"):
-                invariant_dimension(group, 40)
+            with pytest.raises(ResourceGuardError, match="degree-200 invariants store up to"):
+                invariant_dimension(group, 200)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -665,21 +660,63 @@ class TestInvariantDimension:
         assert 0 < fixed < len(terms)
         assert len(calls) == len(group.generators) * fixed
 
-    def test_peak_memory_stays_under_the_guard_estimate(self):
-        # the guard prices G x G int64 matrices for the largest grade G
-        cfg = Config(3, 4)
-        group = group_generators(cfg, "SL")
-        for d, estimate in [(14, 8_128_512), (20, 55_756_800)]:
-            check_invariant_matrix_bytes(cfg, d)
-            size = max(grade_sizes(cfg, d))
-            assert invariants.GRADE_PEAK_FACTOR * size * size * 8 == estimate
+    def test_peak_memory_stays_under_the_guard_estimate(self, monkeypatch):
+        # the price of the terms and row entries is above the traced peak,
+        # once the modules have run, for each kind of row
+        prices = []
+        monkeypatch.setattr(invariants, "guard_bytes", lambda what, needed: prices.append(needed))
+        for p, n, kind, d in [(3, 4, "SL", 20), (3, 4, "GL", 24), (3, 2, "SL", 1000), (5, 3, "T", 30)]:
+            cfg = Config(p, n)
+            if kind == "T":
+                group = GroupSpec("T", cfg, (LinearSubst.transvection(cfg, 1, 2),))
+            else:
+                group = group_generators(cfg, kind)
+            invariant_dimension(group, 4)
             tracemalloc.start()
             try:
                 invariant_dimension(group, d)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < estimate, d
+            assert peak < prices[-1], (p, n, kind, d)
+
+    @pytest.mark.parametrize("p, n, dmax", [(3, 2, 30), (5, 2, 30), (7, 3, 16), (3, 4, 12)])
+    @pytest.mark.parametrize("kind", ["SL", "GL", "T"])
+    def test_price_counts_the_terms_and_bounds_the_entries(self, monkeypatch, p, n, dmax, kind):
+        # the terms are the grade sizes; with no generator the entries are
+        # the unit rows, one per moved term; with them, no fewer than the
+        # matrices hold.  Kind "T" has no torus and moves no term; it also
+        # gets a generator of two shears, priced at the grade size.
+        cfg = Config(p, n)
+        gens = group_generators(cfg, "GL" if kind == "T" else kind).generators
+        if kind == "T":
+            two = compose(LinearSubst.transvection(cfg, 1, 2), LinearSubst.transvection(cfg, 2, 1))
+            assert len(two.shears) == 2
+            gens += (two,)
+        counts = []
+
+        def priced(what, needed):
+            counts.append([int(w) for w in what.split() if w.isdigit()][-2:])
+
+        stored = []
+        kernel_basis = invariants.linalg.kernel_basis
+
+        def kernel(matrix, p):
+            stored.append(sum(map(len, matrix.rows)))
+            return kernel_basis(matrix, p)
+
+        monkeypatch.setattr(invariants, "guard_bytes", priced)
+        monkeypatch.setattr(invariants.linalg, "kernel_basis", kernel)
+        for d in range(dmax + 1):
+            keys = [key for masks, m in _grades(cfg, d) for key in _grade_basis(n, masks, m)]
+            moved = sum(not invariants._torus_fixed(kind, p, *key) for key in keys)
+            counts.clear()
+            check_invariant_matrix_bytes(GroupSpec(kind, cfg, ()), d)
+            assert counts == [[len(keys), moved]], d
+            counts.clear()
+            stored.clear()
+            invariant_dimension(GroupSpec(kind, cfg, gens), d)
+            assert counts[0][0] == len(keys) and counts[0][1] >= sum(stored), d
 
     def test_sparse_rows_keep_degree_twenty_small(self):
         # about 1.3 MB with sparse rows; the dense int64 solver peaked at 42.5 MB

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from milnorq import linalg
+from milnorq.backend import add_into
 from milnorq.linalg import Matrix, kernel_basis, rref, solve
 from oracles import kernel_basis_dense, rref_dense
 
@@ -118,6 +120,26 @@ class TestRref:
             dense_red, dense_pivots = rref_dense(a, p)
             assert pivots == dense_pivots
             assert np.array_equal(dense(red.rows, red.ncols), dense_red)
+
+    def test_only_the_rows_that_hold_the_lead_are_cleared(self, p, monkeypatch):
+        # column 6 is held by the pivot rows of columns 0 and 3 only; the
+        # row with lead 6 clears those two, which then hold column 7 by
+        # fill-in, so the row with lead 7 clears the four rows that hold it.
+        # The pivot rows of columns 1, 4 and 5 are never touched.
+        rows = [{0: 1, 6: 1}, {1: 1}, {2: 1, 7: 1}, {3: 1, 6: 2}, {4: 1}, {5: 1}]
+        rows += [{6: 1, 7: 1}, {7: 1}]
+        touched = []
+
+        def counted(target, src, c, p):
+            touched.append(sorted(target))
+            return add_into(target, src, c, p)
+
+        monkeypatch.setattr(linalg, "add_into", counted)
+        red, pivots = rref(Matrix(rows, 8), p)
+        assert sorted(touched) == [[0, 6], [0, 7], [2, 7], [3, 6], [3, 7], [6, 7]]
+        dense_red, dense_pivots = rref_dense(dense(rows, 8), p)
+        assert pivots == dense_pivots
+        assert np.array_equal(dense(red.rows, red.ncols), dense_red)
 
     def test_empty_matrices(self, p):
         for shape in [(0, 4), (4, 0), (0, 0)]:
