@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 # module -> the public names it defines, in the order of __all__
 _EXPORTS = {
     "algebra": ["Config", "ExtClass", "LinearSubst", "substitute_linear"],
-    "exprio": ["parse_class", "render_class", "class_to_json", "class_from_json"],
+    "exprio": ["parse_class", "render_class", "class_to_json"],
     "steenrod": ["milnor_q", "reduced_power", "apply_word", "parse_op_word"],
     "invariants": [
         "DicksonSet",

@@ -18,7 +18,8 @@ no width limit and no fallback.
 
 Precondition: every exponent is non-negative (a negative field would
 borrow from its neighbour).  Every dict in the package meets it:
-exprio.parse_class and exprio.class_from_json reject negative exponents.
+exprio.parse_class, the one reader of class text, rejects negative
+exponents.
 """
 
 from itertools import repeat

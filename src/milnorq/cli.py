@@ -157,7 +157,7 @@ def cmd_theorem_main(args, cfg):
         "rows": [{"a": a, "in_D": in_d} for a, in_d in table],
         "contract_holds": contract,
     }
-    e_degree = invariants.moore_class(cfg).degree()
+    e_degree = invariants._generator_degrees(cfg, "SD")["e"]  # e_n is built in the table
     lines = [f"powers of the degree-{e_degree} class vs D_{cfg.n}"]
     for a, in_d in table:
         expected = a % (cfg.p - 1) == 0
@@ -263,7 +263,7 @@ def cmd_prop_iso(args, cfg):
 
 
 def cmd_e8_adjoint(args, cfg):
-    report = torus.e8_adjoint_check(args.p, args.trunc)
+    report = torus.e8_adjoint_check(args.p)
     lines = [
         f"Chern series: {report['series']}",
         f"c2 = {report['c2']}",
@@ -328,11 +328,7 @@ SUBCOMMANDS = {
     "chern-rep": ("total Chern class of a weights file", cmd_chern_rep, [WEIGHTS]),
     "mu": ("divisibility profile of a weights file", cmd_mu, [WEIGHTS]),
     "prop-iso": ("low-degree SL-invariant bases", cmd_prop_iso, []),
-    "e8-adjoint": (
-        "restricted rank-248 Chern series report",
-        cmd_e8_adjoint,
-        [("--trunc", {"type": ascii_int, "default": 4})],
-    ),
+    "e8-adjoint": ("restricted rank-248 Chern series report", cmd_e8_adjoint, []),
 }
 
 

@@ -136,48 +136,3 @@ def class_to_json(x):
         terms.append({"coeff": coeff, "exps": list(mono), "dts": dts})
     return {"p": x.cfg.p, "n": x.cfg.n, "terms": terms}
 
-
-def _field(obj, key):
-    if not isinstance(obj, dict) or key not in obj:
-        raise ValueError(f"JSON payload is missing the key {key!r}")
-    return obj[key]
-
-
-def _integer(value, what):
-    # JSON integers only: bool is an int subclass and floats would truncate
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _list(value, what):
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list, got {value!r}")
-    return value
-
-
-def class_from_json(data, cfg=None):
-    """Rebuild a class from its JSON dict; validates shape, types and ranges."""
-    p = _integer(_field(data, "p"), "p")
-    n = _integer(_field(data, "n"), "n")
-    if cfg is None:
-        cfg = Config(p, n)
-    elif (cfg.p, cfg.n) != (p, n):
-        raise ValueError("JSON payload does not match the given config")
-    terms = []
-    for entry in _list(_field(data, "terms"), "terms"):
-        exps = [_integer(e, "exponent") for e in _list(_field(entry, "exps"), "exps")]
-        if len(exps) != cfg.n or any(e < 0 for e in exps):
-            raise ValueError(f"bad exponent vector {exps}")
-        mask = 0
-        for k in _list(_field(entry, "dts"), "dts"):
-            k = _integer(k, "dt index")
-            if not 1 <= k <= cfg.n:
-                raise ValueError(f"dt index {k} out of range 1..{cfg.n}")
-            bit = 1 << (k - 1)
-            if mask & bit:
-                raise ValueError(f"repeated dt index {k}")
-            mask |= bit
-        coeff = _integer(_field(entry, "coeff"), "coeff")
-        terms.append((mask, tuple(exps), coeff))
-    return ExtClass.from_terms(cfg, terms)

@@ -12,10 +12,11 @@ Q_i raises cohomological degree by 2p^i - 1, P^j by 2j(p-1).
 from __future__ import annotations
 
 import itertools
+import math
 
 from .algebra import ExtClass, _binomials_mod_p
 from .backend import add_into
-from .errors import guard_bytes
+from .errors import guard, guard_bytes
 
 # the tracemalloc peak of a whole apply call per priced entry was 810-895 B
 # from 2 * 10^4 to 5 * 10^5 entries, and of reduced_power alone 108-649 B
@@ -28,6 +29,11 @@ def milnor_q(i, x):
         raise ValueError("operation index must be non-negative")
     cfg = x.cfg
     p = cfg.p
+    # priced before p**i is formed: p^i has floor(i log10 p) + 1 digits, and
+    # 4300 is the most that Python's str() prints by default (and int() reads
+    # in --expr), so a larger exponent could not be output
+    top = int(4300 / math.log10(p))
+    guard(i, top, f"Q_{i}: p^i has over 4300 decimal digits for i > {top}")
     q = p**i
     parts = {}
     for mask, poly in x.parts.items():
@@ -46,7 +52,8 @@ def _term_totals(mono, j, p):
 
     P^j t^mono sums, over the splits j = i_1 + ... + i_n, the products of
     C(mono_k, i_k) t_k^(mono_k + i_k(p-1)).  The splits of the first n - 1
-    parts are grouped by their sum j0 <= j, and the last part is j - j0.
+    parts are grouped by their sum j0 <= j; the last part is j - j0, whose
+    one binomial is read by Lucas's theorem rather than from a whole row.
     Each output monomial determines its split, so no two terms collide.
     """
     step = p - 1
@@ -64,15 +71,24 @@ def _term_totals(mono, j, p):
                     target[m + e] = b * c % p
         states = new
     a = mono[-1]
-    last = dict(_binomials_mod_p(a, j, p))
     out = {}
     for j0, poly in states.items():
-        b = last.get(j - j0)
+        b = _binomial_mod_p(a, j - j0, p)
         if b:
             e = (a + (j - j0) * step,)
             for m, c in poly.items():
                 out[m + e] = b * c % p
     return out
+
+
+def _binomial_mod_p(a, k, p):
+    """C(a, k) mod p by Lucas's theorem: prod_d C(a_d, k_d) over base-p digits."""
+    b = 1
+    while k and b:
+        a, ad = divmod(a, p)
+        k, kd = divmod(k, p)
+        b = b * math.comb(ad, kd) % p
+    return b
 
 
 def _split_count(bounds, j, p):

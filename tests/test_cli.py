@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import milnorq
-from milnorq import algebra, chern, invariants, torus
+from milnorq import algebra, chern, invariants
 from milnorq.cli import build_parser, main
 
 SRC = str(Path(milnorq.__file__).resolve().parent.parent)
@@ -435,14 +435,6 @@ class TestExitCodes:
                 "error: line 1: bad multiplicity 'x\u0662'",
             ),
             (
-                ["e8-adjoint", "-p", "3", "--trunc", "\u0664"],
-                None,
-                "usage: milnorq e8-adjoint [-h] -p P [--json] [--out FILE] "
-                "[--trunc TRUNC]\n"
-                "milnorq e8-adjoint: error: argument --trunc: invalid ascii_int "
-                "value: '\u0664'",
-            ),
-            (
                 ["hilbert", "-p", "3", "-n", "2", "--group", "sl", "--max-degree", "\u0664"],
                 None,
                 "usage: milnorq hilbert [-h] -p P -n N [--json] [--out FILE] --group {sl,gl}\n"
@@ -466,7 +458,6 @@ class TestExitCodes:
             "orbit-start",
             "weight-coordinate",
             "weight-multiplicity",
-            "trunc",
             "max-degree",
             "a-max",
         ],
@@ -482,19 +473,6 @@ class TestExitCodes:
             path.write_text(weights, encoding="utf-8")
             argv = argv + ["--weights", str(path)]
         assert run(capsys, argv) == (2, "", message + "\n")
-
-    def test_e8_adjoint_refuses_a_trunc_beyond_the_dimension(self, capsys, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("the guard let the series start")
-
-        with monkeypatch.context() as patched:
-            patched.setattr(torus, "chern_series", unreachable)
-            code, out, err = run(capsys, ["e8-adjoint", "-p", "3", "--trunc", "241"])
-        assert (code, out) == (2, "")
-        assert err == "resource guard: trunc 241 exceeds the character's dimension 240\n"
-        code, out, err = run(capsys, ["e8-adjoint", "-p", "3", "--trunc", "240", "--json"])
-        assert (code, err) == (0, "")
-        assert len(json.loads(out)["series"]) == 241
 
     @pytest.mark.parametrize("extra", [[], ["--json"]])
     def test_hilbert_rejects_a_negative_max_degree(self, capsys, monkeypatch, extra):
@@ -518,6 +496,12 @@ class TestExitCodes:
         code, out, err = run(capsys, ["theorem-main", "-p", "3", "-n", "2", "--case", "pu"])
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --case pu" in err
+
+    def test_e8_adjoint_has_no_trunc_option(self, capsys):
+        # the checks read the series to u^4, so that is the length it builds
+        code, out, err = run(capsys, ["e8-adjoint", "-p", "3", "--trunc", "241"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --trunc 241" in err
 
     @pytest.mark.parametrize("where", ["directory", "missing-directory"])
     def test_unwritable_out_is_refused(self, capsys, tmp_path, where):
@@ -570,7 +554,11 @@ EXTREME_ARGS = {
         ["--ops", ops, "--expr", expr]
         for ops in ("P300", "P1000000000", "Q60,Q61")
         for expr in ("t1^6560*t2^6560*t3^6560*t4^6560", "t1^1000000000*dt1")
-    ],
+    ]
+    # 12157665459056928800 = 3^40 - 1: P^(10^12) reads one Lucas entry of
+    # the last exponent, and Q_(10^12) is refused before p^(10^12) is formed
+    + [["--ops", "P1000000000000", "--expr", f"t{k}^12157665459056928800"] for k in (1, 2)]
+    + [["--ops", "Q1000000000000", "--expr", "dt1"]],
     "invariance": [
         ["--group", group, "--expr", expr]
         for group in ("sl", "gl")
@@ -596,7 +584,7 @@ EXTREME_ARGS = {
     "chern-rep": [["--weights", name] for name in EXTREME_WEIGHTS],
     "mu": [["--weights", name] for name in EXTREME_WEIGHTS],
     "prop-iso": [[]],
-    "e8-adjoint": [["--trunc", trunc] for trunc in ("1000000000", "241", "0", "-5")],
+    "e8-adjoint": [[]],
 }
 SELF_CHECKED = {"hilbert", "theorem-main", "chern-reg", "prop-iso"}  # may exit 1
 

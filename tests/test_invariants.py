@@ -31,6 +31,7 @@ from milnorq.invariants import (
     GroupSpec,
     _grade_basis,
     _grades,
+    _hilbert_series,
     check_invariant_matrix_bytes,
     decomposition_text,
     grade_sizes,
@@ -293,6 +294,25 @@ class TestAgainstTheTransvectionSet:
         for d in range(dmax + 1):
             got = invariant_dimension(ours, d)
             assert got == invariant_dimension(reference, d), d
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_invariant_bases_at_random_degrees(self, data):
+        # configs that test_invariant_bases leaves out, each to a degree
+        # where one solve takes at most about 0.1 s; half the draws land on
+        # a degree where Mui's prediction is nonzero
+        (p, n), dmax = data.draw(
+            st.sampled_from([((5, 2), 250), ((7, 2), 250), ((7, 3), 120), ((97, 2), 400)])
+        )
+        cfg, kind = Config(p, n), data.draw(st.sampled_from(["SL", "GL"]))
+        series = _hilbert_series(cfg, dmax, "SM" if kind == "SL" else "M")
+        nonzero = [d for d, dim in enumerate(series) if dim]
+        d = data.draw(st.one_of(st.integers(0, dmax), st.sampled_from(nonzero)))
+        ours, reference = group_generators(cfg, kind), transvection_group(cfg, kind)
+        check_invariant_matrix_bytes(ours, d)
+        got = invariant_dimension(ours, d)
+        assert got[0] == series[d]
+        assert got == invariant_dimension(reference, d), d
 
     @pytest.mark.parametrize("p, n", [(3, 3), (5, 2)])
     def test_orbit_sizes(self, p, n):

@@ -218,6 +218,40 @@ class TestPowerGuard:
         assert entries == math.comb(103, 3)
         assert entries * steenrod.POWER_ENTRY_BYTES <= DESK_SCALE_BYTES
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_the_last_exponent_is_read_by_lucas(self, n):
+        # 3^40 - 1 has forty digits 2 in base 3, so its Lucas row up to
+        # 10^12 holds every i <= 10^12; only C(a, 10^12) is read
+        a, j = 3**40 - 1, 10**12
+        x = ExtClass(Config(3, n), {0: {(0,) * (n - 1) + (a,): 1}})
+        start = time.perf_counter()
+        y = reduced_power(j, x)
+        assert time.perf_counter() - start < 1
+        assert y == ExtClass(Config(3, n), {0: {(0,) * (n - 1) + (12157667459056928800,): 1}})
+
+    def test_binomial_matches_the_lucas_row(self):
+        rng = random.Random("binomial")
+        for _ in range(500):
+            p = rng.choice([3, 5, 7, 97])
+            a, kmax = rng.randrange(4 * p**3), rng.randrange(200)
+            row = dict(_binomials_mod_p(a, kmax, p))
+            for k in range(kmax + 1):
+                assert steenrod._binomial_mod_p(a, k, p) == row.get(k, 0), (a, k, p)
+
+
+class TestQGuard:
+    @pytest.mark.parametrize("p, top", [(3, 9012), (5, 6151), (97, 2164)])
+    def test_p_to_the_i_has_at_most_4300_digits(self, p, top):
+        cfg = Config(p, 1)
+        x = milnor_q(top, ExtClass.dt(cfg, 1))
+        (mono,) = x.parts[0]
+        assert len(str(mono[0])) == 4300
+        for i in (top + 1, 10**8, 10**12):
+            start = time.perf_counter()
+            with pytest.raises(ResourceGuardError, match=f"Q_{i}: p\\^i has over 4300"):
+                milnor_q(i, ExtClass.dt(cfg, 1))
+            assert time.perf_counter() - start < 1
+
 
 class TestWords:
     def test_word_for_the_determinant_class(self):
