@@ -9,9 +9,10 @@ every operation returns a fresh ExtClass and never mutates its arguments.
 A LinearSubst g is kept as its elementary factors from one row reduction:
 shears (i, j, c) and a monomial matrix Q, which sends t_k to d_k t_perm[k].
 substitute_linear applies the shears in order: t_i -> t_i + c*t_j expands
-t_i^a t_j^b as sum_k C(a, k) c^k t_i^(a-k) t_j^(b+k), with C(a, k) mod p
-from Lucas's theorem, and dt_i -> dt_i + c*dt_j gives dt_A, i in A, the
-extra term c * _SIGN[rest][1<<i] * _SIGN[rest][1<<j] dt_(rest + j),
+t_i^a t_j^b as sum_k C(a, k) c^k t_i^(a-k) t_j^(b+k), over the k with
+C(a, k) != 0 mod p that backend.binomials lists by Lucas's theorem, and
+dt_i -> dt_i + c*dt_j gives dt_A, i in A, the extra term
+c * _SIGN[rest][1<<i] * _SIGN[rest][1<<j] dt_(rest + j),
 rest = A - {i}, since dt_A = _SIGN[rest][1<<i] dt_rest dt_i (the term is 0
 when j is in A).  Q then moves each term without expanding anything: the
 exponent of t_k becomes that of t_perm[k], the coefficient is scaled by
@@ -23,10 +24,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 from operator import itemgetter
 
-from .backend import add_into, poly_mul
+from .backend import add_into, binomials, poly_mul, power_terms
 from .errors import ConfigMismatchError, guard_bytes
 
 # the tracemalloc peak of _shear per priced term was 43-359 B over p = 3..97
@@ -392,38 +392,6 @@ def _shear_factors(rows, p):
     return tuple(shears), tuple(pivot_of), tuple(a[k][pivot_of[k]] for k in range(n))
 
 
-def _binomials_mod_p(a, kmax, p):
-    """The pairs (k, C(a, k) mod p), ascending, for k <= kmax and C(a, k) != 0 mod p.
-
-    By Lucas's theorem C(a, k) = prod_d C(a_d, k_d) over base-p digits, so k
-    runs over the numbers with every digit at most a's, built from the
-    lowest digit up and dropped as soon as they pass kmax.
-    """
-    row = [(0, 1)]
-    place = 1
-    while a and place <= kmax:
-        a, digit = divmod(a, p)
-        row = [
-            (place * kd + k, math.comb(digit, kd) * b % p)
-            for kd in range(digit + 1)
-            for k, b in row
-            if place * kd + k <= kmax
-        ]
-        place *= p
-    return tuple(row)
-
-
-@lru_cache(maxsize=4096)
-def _lucas_count(a, p):
-    """How many C(a, k), 0 <= k <= a, are nonzero mod p: prod_d (a_d + 1)
-    over the base-p digits a_d of a, by Lucas's theorem."""
-    count = 1
-    while a:
-        a, digit = divmod(a, p)
-        count *= digit + 1
-    return count
-
-
 def _shear(parts, i, j, c, p):
     """parts under the shear (i, j, c), by the rules in the module docstring."""
     powers = [pow(c, k, p) for k in range(p - 1)]
@@ -437,7 +405,7 @@ def _shear(parts, i, j, c, p):
             m = list(mono)
             row = rows.get(a)
             if row is None:
-                row = rows[a] = _binomials_mod_p(a, a, p)
+                row = rows[a] = binomials(a, a, p)
             for k, binom in row:
                 m[i], m[j] = a - k, b + k
                 key = tuple(m)
@@ -495,14 +463,15 @@ def substitute_linear(g, x):
     The shears of g act one at a time, in order, by _shear; the monomial
     factor then moves and scales each term by _monomial.  Each shear is
     priced from base-p digits before it expands: t_i^a gives
-    _lucas_count(a, p) terms, and a term with dt_i twice that.
+    power_terms(a, 1, p) terms, one per nonzero C(a, k), and a term with
+    dt_i twice that.
     """
     _check_cfg(g.cfg, x.cfg)
     p = x.cfg.p
     parts = x.parts
     for i, j, c in g.shears:
         terms = sum(
-            sum(_lucas_count(mono[i], p) for mono in poly) << (mask >> i & 1)
+            sum(power_terms(mono[i], 1, p) for mono in poly) << (mask >> i & 1)
             for mask, poly in parts.items()
         )
         guard_bytes(f"a substitution expands into up to {terms} terms", SHEAR_TERM_BYTES * terms)

@@ -16,12 +16,17 @@ product of two monomials is the sum of their keys.  Python ints never
 overflow, so the loop is exact for any exponents and coefficients, with
 no width limit and no fallback.
 
+binomial, binomials and power_terms read binomials mod p by Lucas's
+theorem, C(a, k) = prod_d C(a_d, k_d) over the base-p digits, the rule
+by which poly_pow expands a power one digit at a time.
+
 Precondition: every exponent is non-negative (a negative field would
 borrow from its neighbour).  Every dict in the package meets it:
 exprio.parse_class, the one reader of class text, rejects negative
 exponents.
 """
 
+import math
 from itertools import repeat
 from operator import and_, lshift, rshift
 
@@ -112,3 +117,41 @@ def poly_pow(poly, e, p, n, limit=None):
         if e:
             poly = frobenius(poly, p)
     return result
+
+
+def binomial(a, k, p):
+    """C(a, k) mod p by Lucas's theorem."""
+    b = 1
+    while k and b:
+        a, ad = divmod(a, p)
+        k, kd = divmod(k, p)
+        b = b * math.comb(ad, kd) % p
+    return b
+
+
+def binomials(a, kmax, p):
+    """The pairs (k, C(a, k) mod p), ascending, for k <= kmax and C(a, k) != 0 mod p:
+    the k with every digit at most a's, built from the lowest digit up."""
+    row = [(0, 1)]
+    place = 1
+    while a and place <= kmax:
+        a, digit = divmod(a, p)
+        row = [
+            (place * kd + k, math.comb(digit, kd) * b % p)
+            for kd in range(digit + 1)
+            for k, b in row
+            if place * kd + k <= kmax
+        ]
+        place *= p
+    return tuple(row)
+
+
+def power_terms(m, s, p):
+    """How many terms (1 + c_1 x_1 + ... + c_s x_s)^m has mod p, each c_i != 0:
+    prod_d C(m_d + s, s) over the base-p digits m_d of m, and no partial
+    product of poly_pow's has more.  At s = 1, how many C(m, k) are nonzero."""
+    count = 1
+    while m:
+        m, digit = divmod(m, p)
+        count *= math.comb(digit + s, s)
+    return count

@@ -32,7 +32,7 @@ import operator
 # milnorq/__init__.py), so a call that needs neither runs neither
 from . import invariants, steenrod
 from .algebra import ExtClass, LinearSubst, substitute_linear
-from .backend import add_into, poly_mul, poly_pow
+from .backend import add_into, poly_mul, poly_pow, power_terms
 from .errors import (
     DESK_SCALE_BYTES,
     ConsistencyError,
@@ -163,24 +163,17 @@ def _regular_part(rho):
     return a, {v: m - a for v, m in nonzero.items() if m > a}
 
 
-def _digits(m, p):
-    while m:
-        m, digit = divmod(m, p)
-        yield digit
-
-
 def _rest_terms(cfg, rest):
     """An upper bound on the terms of the product of the (1 + v)^m of rest.
 
-    poly_pow works one base-p digit m_k of m at a time, so (1 + v)^m, v
-    with s nonzero coordinates, has prod_k C(m_k + s, s) terms, and none
-    of its partial products more.  A product has at most the product of
-    its factors' terms, and at degree D at most C(D + n, n).
+    (1 + v)^m, v with s nonzero coordinates, has power_terms(m, s, p)
+    terms, and none of poly_pow's partial products more.  A product has at
+    most the product of its factors' terms, and at degree D at most
+    C(D + n, n).
     """
     count = 1
     for v, m in rest.items():
-        s = sum(1 for c in v if c)
-        count *= math.prod(math.comb(d + s, s) for d in _digits(m, cfg.p))
+        count *= power_terms(m, sum(1 for c in v if c), cfg.p)
     return min(count, math.comb(sum(rest.values()) + cfg.n, cfg.n))
 
 

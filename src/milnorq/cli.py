@@ -9,10 +9,11 @@ A call runs only what its subcommand uses.  build_parser adds only the
 subcommand argv names, json is imported only for --json, and the library
 modules are the package's lazily loaded ones (see milnorq/__init__.py),
 each run when a handler first reaches into it.  Handlers look functions up
-through their module at call time.  The modules are bound here rather than
-imported inside each handler because perfbench/tracer.py wraps the
-functions of the modules it finds in sys.modules right after importing
-this one; with imports inside the handlers it would find none of them.
+through their module at call time.  The modules are bound here, not
+imported inside each handler, because a bound module is still unexecuted:
+one import line serves every handler and runs nothing a call does not use.
+(perfbench/tracer.py finds the modules either way: milnorq/__init__.py
+puts every one of them in sys.modules.)
 """
 
 from __future__ import annotations

@@ -37,8 +37,8 @@ from functools import lru_cache
 # modules, not their functions: a module runs on its first use (see
 # milnorq/__init__.py), so a call that needs neither runs neither
 from . import linalg, steenrod
-from .algebra import Config, ExtClass, LinearSubst, _lucas_count, _perm_sign, substitute_linear
-from .backend import add_into, frobenius, poly_mul, poly_pow
+from .algebra import Config, ExtClass, LinearSubst, _perm_sign, substitute_linear
+from .backend import add_into, frobenius, poly_mul, poly_pow, power_terms
 from .errors import ConsistencyError, guard_bytes, guard_points
 
 # check_invariant_matrix_bytes: bytes per term of a grade, per row entry, per call
@@ -128,16 +128,15 @@ dickson_classes.__wrapped__ = _dickson_set.__wrapped__
 
 
 def _validate_dickson(cfg, e, cs):
-    p, n = cfg.p, cfg.n
+    p = cfg.p
     if not e.is_polynomial():
         raise ConsistencyError("e_n is not a polynomial class")
-    if e.degree() != 2 * (p**n - 1) // (p - 1):
-        raise ConsistencyError(f"deg e_n = {e.degree()} is wrong")
-    for idx, ci in enumerate(cs):
-        i = n - 1 - idx
-        want = 2 * (p**n - p**i)
+    want = _generator_degrees(cfg, "SD")["e"]
+    if e.degree() != want:
+        raise ConsistencyError(f"deg e_n = {e.degree()}, want {want}")
+    for (name, want), ci in zip(_generator_degrees(cfg, "D").items(), cs):
         if not ci.is_homogeneous() or ci.degree() != want:
-            raise ConsistencyError(f"deg c_{{{n},{i}}} = {ci.degree()}, want {want}")
+            raise ConsistencyError(f"deg {name} = {ci.degree()}, want {want}")
     if e ** (p - 1) != cs[-1]:
         raise ConsistencyError("e_n^(p-1) != c_{n,0}")
     for g in group_generators(cfg, "GL").generators:
@@ -149,20 +148,10 @@ def _validate_dickson(cfg, e, cs):
 
 
 def primitive_root(p):
-    """Smallest generator of the cyclic group F_p^x."""
-    factors = []
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
+    """Smallest generator of the cyclic group F_p^x: the first g whose
+    powers reach all p - 1 units, at most p^2 steps as Config caps p."""
     for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
+        if len({pow(g, k, p) for k in range(1, p)}) == p - 1:
             return g
     raise ValueError(f"no primitive root found mod {p}")
 
@@ -416,8 +405,9 @@ def check_invariant_matrix_bytes(group, d):
     Counted, not listed: per grade of G terms, a unit row per moved term
     and, per T-fixed term v (a class e = r mod q by _torus_fixed's rule; no
     torus is one class mod 1) and generator g, the entries of g.v - v: 2
-    for a monomial matrix, 1 + _lucas_count of the sheared exponent (twice
-    that if v holds the sheared dt) for one shear, G for more, capped by G.
+    for a monomial matrix, 1 + power_terms(a, 1, p) for the sheared
+    exponent a (twice that if v holds the sheared dt) for one shear, G for
+    more, capped by G.
     _ENTRY_BYTES also pays for row copies, kernel and rref fill-in.
     """
     cfg = group.cfg
@@ -441,7 +431,7 @@ def check_invariant_matrix_bytes(group, d):
                     continue
                 i = g.shears[0][0]
                 for a in range(r[i], m + 1, q):
-                    image = _lucas_count(a, p) << (mask >> i & 1)
+                    image = power_terms(a, 1, p) << (mask >> i & 1)
                     entries += count(r[:i] + r[i + 1:], m - a) * min(size, image + 1)
     what = f"degree-{d} invariants store up to {sum(sizes)} terms and {entries} row entries"
     guard_bytes(what, _CALL_BYTES + _TERM_BYTES * sum(sizes) + _ENTRY_BYTES * entries)

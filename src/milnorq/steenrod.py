@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .algebra import ExtClass, _binomials_mod_p
-from .backend import add_into
+from .algebra import ExtClass
+from .backend import add_into, binomial, binomials, power_terms
 from .errors import guard, guard_bytes
 
 # the tracemalloc peak of a whole apply call per priced entry was 810-895 B
@@ -47,19 +47,28 @@ def milnor_q(i, x):
     return ExtClass(cfg, {m: part for m, part in parts.items() if part})
 
 
+def _lucas_split(mono, p):
+    """(w, the other exponents): _term_totals reads mono[w] by Lucas's theorem,
+    w the exponent with the most nonzero C(mono[w], i) mod p, the last on a tie."""
+    w = max(range(len(mono)), key=lambda k: (power_terms(mono[k], 1, p), k))
+    return w, mono[:w] + mono[w + 1:]
+
+
 def _term_totals(mono, j, p):
     """P^j of the monomial t^mono, as a kernel dict.
 
     P^j t^mono sums, over the splits j = i_1 + ... + i_n, the products of
-    C(mono_k, i_k) t_k^(mono_k + i_k(p-1)).  The splits of the first n - 1
-    parts are grouped by their sum j0 <= j; the last part is j - j0, whose
-    one binomial is read by Lucas's theorem rather than from a whole row.
-    Each output monomial determines its split, so no two terms collide.
+    C(mono_k, i_k) t_k^(mono_k + i_k(p-1)).  The splits of the exponents
+    other than mono[w], w from _lucas_split, are grouped by their sum
+    j0 <= j; the part of w is j - j0, whose one binomial is read by Lucas's
+    theorem rather than from a whole row.  Each output monomial determines
+    its split, so no two terms collide.
     """
     step = p - 1
-    states = {0: {(): 1}}  # j0 -> {exponents of t_1..t_k: coefficient}
-    for a in mono[:-1]:
-        row = _binomials_mod_p(a, j, p)
+    w, others = _lucas_split(mono, p)
+    states = {0: {(): 1}}  # j0 -> {exponents of the others so far: coefficient}
+    for a in others:
+        row = binomials(a, j, p)
         new = {}
         for j0, poly in states.items():
             for i, b in row:
@@ -70,25 +79,15 @@ def _term_totals(mono, j, p):
                 for m, c in poly.items():
                     target[m + e] = b * c % p
         states = new
-    a = mono[-1]
+    a = mono[w]
     out = {}
     for j0, poly in states.items():
-        b = _binomial_mod_p(a, j - j0, p)
+        b = binomial(a, j - j0, p)
         if b:
             e = (a + (j - j0) * step,)
             for m, c in poly.items():
-                out[m + e] = b * c % p
+                out[m[:w] + e + m[w:]] = b * c % p
     return out
-
-
-def _binomial_mod_p(a, k, p):
-    """C(a, k) mod p by Lucas's theorem: prod_d C(a_d, k_d) over base-p digits."""
-    b = 1
-    while k and b:
-        a, ad = divmod(a, p)
-        k, kd = divmod(k, p)
-        b = b * math.comb(ad, kd) % p
-    return b
 
 
 def _split_count(bounds, j, p):
@@ -119,9 +118,9 @@ def reduced_power(j, x):
     """Apply the reduced power operation P^j to x.
 
     Priced before any term is expanded: each monomial's _term_totals holds
-    at most one entry per split of j0 <= j over its first n - 1 exponents,
-    and builds at most one output term for each, counted by _split_count
-    with a last part free to take any j - j0.
+    at most one entry per split of j0 <= j over the other exponents of
+    _lucas_split, and builds at most one output term for each, counted by
+    _split_count with the part of w free to take any j - j0.
     """
     if j < 0:
         raise ValueError("operation index must be non-negative")
@@ -129,7 +128,9 @@ def reduced_power(j, x):
     p = cfg.p
     free = p ** j.bit_length() - 1  # every base-p digit of any i <= j is allowed
     entries = sum(
-        _split_count(mono[:-1] + (free,), j, p) for poly in x.parts.values() for mono in poly
+        _split_count(_lucas_split(mono, p)[1] + (free,), j, p)
+        for poly in x.parts.values()
+        for mono in poly
     )
     guard_bytes(f"P^{j} builds up to {entries} partial terms", POWER_ENTRY_BYTES * entries)
     parts = {}

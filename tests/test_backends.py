@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from milnorq import backend
-from milnorq.backend import add_into, frobenius, poly_mul, poly_pow
+from milnorq.backend import add_into, frobenius, poly_mul, poly_pow, power_terms
 from milnorq.errors import ResourceGuardError
 from oracles import poly_mul_dict
 
@@ -244,6 +244,22 @@ def test_poly_pow_forms_no_product_past_its_digits(monkeypatch):
     x = {(0, 0): 1, (1, 0): 1, (0, 1): 1}
     assert poly_pow(x, 3**6, 3, 2) == {(0, 0): 1, (729, 0): 1, (0, 729): 1}
     assert max(sizes) == 3
+
+
+@pytest.mark.parametrize("p", [3, 5, 97])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_power_terms_counts_the_terms_of_poly_pow(s, p):
+    # m has two random nonzero base-p digits among its lowest four, each
+    # small enough that (1 + c_1 x_1 + ... + c_s x_s)^m stays under 10^4 terms
+    rng = random.Random(f"power-terms:{s}:{p}")
+    top = min(p - 1, {1: 96, 2: 11, 3: 5, 4: 4}[s])
+    for _ in range(8):
+        m = sum(rng.randint(1, top) * p**k for k in rng.sample(range(4), 2))
+        base = {(0,) * s: 1}
+        for k in range(s):
+            base[tuple(int(i == k) for i in range(s))] = rng.randrange(1, p)
+        assert power_terms(m, s, p) == len(poly_pow(base, m, p, s)), (m, base)
+    assert power_terms(0, s, p) == len(poly_pow(base, 0, p, s)) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -99,6 +99,20 @@ class TestDicksonClasses:
             with pytest.raises(ConsistencyError, match=message):
                 dickson_classes.__wrapped__(cfg)  # past the cache
 
+    def test_degrees_are_checked_against_the_closed_forms(self, monkeypatch):
+        # the validation reads deg c_{n,i} and deg e_n from _generator_degrees
+        closed_forms = invariants._generator_degrees
+
+        def c0_off_by_two(cfg, ring):
+            degrees = closed_forms(cfg, ring)
+            if "c0" in degrees:
+                degrees["c0"] += 2
+            return degrees
+
+        monkeypatch.setattr(invariants, "_generator_degrees", c0_off_by_two)
+        with pytest.raises(ConsistencyError, match="deg c0 = 16, want 18"):
+            invariants._dickson_set.__wrapped__(Config(3, 2))
+
     def test_callers_cannot_corrupt_the_cache(self):
         cfg = Config(3, 2)
         want = dickson_classes(cfg)

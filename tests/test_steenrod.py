@@ -16,7 +16,7 @@ from milnorq import (
     substitute_linear,
 )
 from milnorq import steenrod
-from milnorq.algebra import _binomials_mod_p
+from milnorq.backend import binomial, binomials, power_terms
 from milnorq.errors import DESK_SCALE_BYTES
 from milnorq.invariants import moore_class
 from conftest import CONFIGS, random_class, random_homogeneous, random_subst
@@ -176,8 +176,12 @@ class TestOperationLaws:
 
 
 def power_price(j, mono, p):
-    """The entries reduced_power prices for P^j on one monomial."""
-    return steenrod._split_count(mono[:-1] + (p ** j.bit_length() - 1,), j, p)
+    """The entries reduced_power prices for P^j on one monomial: the splits
+    of j over every exponent but the one with the most nonzero binomials
+    (the last on a tie), which takes any remainder."""
+    w = max(range(len(mono)), key=lambda k: (power_terms(mono[k], 1, p), k))
+    free = p ** j.bit_length() - 1
+    return steenrod._split_count(mono[:w] + mono[w + 1:] + (free,), j, p)
 
 
 class TestPowerGuard:
@@ -187,7 +191,7 @@ class TestPowerGuard:
         for _ in range(300):
             bounds = [rng.randrange(3 * p * p) for _ in range(rng.randint(0, 4))]
             j = rng.randrange(4 * p * p)
-            rows = [[i for i, _ in _binomials_mod_p(b, j, p)] for b in bounds]
+            rows = [[i for i, _ in binomials(b, j, p)] for b in bounds]
             want = sum(1 for split in itertools.product(*rows) if sum(split) == j)
             assert steenrod._split_count(bounds, j, p) == want, (bounds, j)
 
@@ -229,14 +233,37 @@ class TestPowerGuard:
         assert time.perf_counter() - start < 1
         assert y == ExtClass(Config(3, n), {0: {(0,) * (n - 1) + (12157667459056928800,): 1}})
 
+    @pytest.mark.parametrize("wide", [1, 2, 4])
+    @pytest.mark.parametrize("small", [False, True], ids=["alone", "with-a-small-factor"])
+    def test_the_widest_exponent_is_read_by_lucas(self, wide, small):
+        # t_wide^(3^40 - 1) at n = 4, alone or times t2 (t3 when wide is 2):
+        # the wide exponent has the one long Lucas row and is read by
+        # binomial, so P^(10^12) splits j only over the others, 0s and a 1
+        cfg, a, j = Config(3, 4), 3**40 - 1, 10**12
+        other = 3 if wide == 2 else 2
+
+        def mono(wide_exp, other_exp):
+            m = [0] * 4
+            m[wide - 1], m[other - 1] = wide_exp, other_exp
+            return tuple(m)
+
+        if small:
+            x, want = {mono(a, 1): 1}, {mono(a + 2 * j, 1): 1, mono(a + 2 * j - 2, 3): 2}
+        else:
+            x, want = {mono(a, 0): 1}, {mono(a + 2 * j, 0): 1}
+        start = time.perf_counter()
+        y = reduced_power(j, ExtClass(cfg, {0: x}))
+        assert time.perf_counter() - start < 1
+        assert y == ExtClass(cfg, {0: want})
+
     def test_binomial_matches_the_lucas_row(self):
         rng = random.Random("binomial")
         for _ in range(500):
             p = rng.choice([3, 5, 7, 97])
             a, kmax = rng.randrange(4 * p**3), rng.randrange(200)
-            row = dict(_binomials_mod_p(a, kmax, p))
+            row = dict(binomials(a, kmax, p))
             for k in range(kmax + 1):
-                assert steenrod._binomial_mod_p(a, k, p) == row.get(k, 0), (a, k, p)
+                assert binomial(a, k, p) == row.get(k, 0), (a, k, p)
 
 
 class TestQGuard:
