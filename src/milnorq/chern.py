@@ -33,23 +33,13 @@ import operator
 from . import invariants, steenrod
 from .algebra import ExtClass, LinearSubst, substitute_linear
 from .backend import add_into, poly_mul, poly_pow, power_terms
-from .errors import (
-    DESK_SCALE_BYTES,
-    ConsistencyError,
-    ascii_int,
-    guard,
-    guard_bytes,
-    guard_points,
-)
+from .errors import ConsistencyError, ascii_int, guard, guard_bytes, guard_points
 
 TABLE_WORK_BOUND = 20_000  # obstruction_table refuses a_max * p^n above this
 # the tracemalloc peak of a whole chern-rep call on one weight to a power was
 # 786-803 B per priced term from 5 * 10^4 to 2.8 * 10^5 terms, and of
 # total_chern alone 250-490 B from 4.7 * 10^4 to 10^6 terms
 CHERN_TERM_BYTES = 1024
-# poly_mul's tracemalloc peak per monomial of its accumulator was 133-323 B
-# from 2.4 * 10^4 to 7.1 * 10^5 of them at n = 2..4, factor and result included
-PRODUCT_LIMIT = DESK_SCALE_BYTES // 400
 
 
 class WeightMultiset:
@@ -144,7 +134,7 @@ def _regular_chern_poly(cfg):
         for start in range(0, len(level), p):
             node = level[start]
             for child in level[start + 1:start + p]:
-                node = poly_mul(node, child, p, PRODUCT_LIMIT)
+                node = poly_mul(node, child, p)
             merged.append(node)
         level = merged
     return level[0]
@@ -187,8 +177,9 @@ def total_chern(rho):
     (_rest_terms), which also prices the result when a = 0.  c(reg)^a and
     its product with them have no count that comes near their size (the
     torus bound is 16 to 103 times the size of c(reg) and 290 times that of
-    c(reg)^2 at (3,4)), so each of their products stops at PRODUCT_LIMIT
-    monomials as it grows, and the result is priced from its length.
+    c(reg)^2 at (3,4)), so they rest on poly_mul's own stop: each product
+    stops at backend.PRODUCT_LIMIT monomials as it grows, and the result is
+    priced from its length.
     """
     cfg = rho.cfg
     p, n = cfg.p, cfg.n
@@ -199,8 +190,7 @@ def total_chern(rho):
     for v, m in sorted(rest.items()):
         poly = poly_mul(poly, poly_pow(_one_plus(v), m, p, n), p)
     if a:
-        power = poly_pow(_regular_chern_poly(cfg), a, p, n, PRODUCT_LIMIT)
-        poly = poly_mul(power, poly, p, PRODUCT_LIMIT)
+        poly = poly_mul(poly_pow(_regular_chern_poly(cfg), a, p, n), poly, p)
         terms = len(poly)
         guard_bytes(f"a Chern class of {terms} terms", CHERN_TERM_BYTES * terms)
     return ExtClass(cfg, {0: poly})
@@ -288,7 +278,8 @@ def power_of_regular(x):
     if d % reg_degree:
         return None
     a = d // reg_degree
-    # a*reg goes through total_chern, so the power is built by digits under its limit
+    # a*reg goes through total_chern, so the power is built by digits, each
+    # product under backend.PRODUCT_LIMIT
     rho = WeightMultiset(cfg, {v: a for v in regular_representation(cfg).weights})
     return a if total_chern(rho) == x else None
 

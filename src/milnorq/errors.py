@@ -38,8 +38,9 @@ def ascii_int(text):
 def guard(needed, bound, message):
     """Raise ResourceGuardError(message) when needed exceeds bound.
 
-    Every desk-scale limit of the package goes through here, so each
-    refusal is a ResourceGuardError and the CLI exits 2 for it.
+    Every desk-scale limit of the package goes through here but
+    backend.poly_mul's, which raises ResourceGuardError itself from inside
+    its loop; so each refusal is a ResourceGuardError and the CLI exits 2.
     """
     if needed > bound:
         raise ResourceGuardError(message)

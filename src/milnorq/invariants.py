@@ -6,7 +6,8 @@ whose only nonzero coefficients sit at X-exponents p^0..p^n and define the
 Dickson classes c_{n,i}; the class e_n = Q_0...Q_{n-1}(dt_1...dt_n), equal
 to a Moore determinant, which transforms by the determinant character;
 membership in D_n and SD_n by subduction over the generators' lead
-monomials; and the invariants of each degree.
+monomials, whose products stop at backend.PRODUCT_LIMIT like every kernel
+product; and the invariants of each degree.
 
 Only invariant_dimension builds matrices, one sparse kernel per exterior
 grade with a unit row for each term that the diagonal torus moves, solved
@@ -38,12 +39,11 @@ from functools import lru_cache
 # milnorq/__init__.py), so a call that needs neither runs neither
 from . import linalg, steenrod
 from .algebra import Config, ExtClass, LinearSubst, _perm_sign, substitute_linear
-from .backend import add_into, frobenius, poly_mul, poly_pow, power_terms
-from .errors import ConsistencyError, guard_bytes, guard_points
+from .backend import PRODUCT_LIMIT, add_into, frobenius, poly_mul, poly_pow, power_terms
+from .errors import ConsistencyError, guard, guard_bytes, guard_points
 
 # check_invariant_matrix_bytes: bytes per term of a grade, per row entry, per call
 _TERM_BYTES, _ENTRY_BYTES, _CALL_BYTES = 1024, 512, 1 << 16
-_SUBDUCTION_ROW_BYTES = 1024  # membership_dickson peaked (tracemalloc) at 4-339 B a row
 _ORBIT_VECTOR_BYTES = 256  # orbit_size peaked (tracemalloc) at 102-147 B a vector
 CACHE_ENTRIES = 16  # least recently used entries kept by the Dickson cache
 
@@ -276,35 +276,27 @@ def _compositions(total, degrees):
             yield (k,) + rest
 
 
-def check_membership_bytes(cfg, d):
-    """Refuse membership_dickson at degree d past _SUBDUCTION_ROW_BYTES a row.
-
-    Subduction holds the remainder and a product g^E with its partial
-    products, each homogeneous of degree d, so each has at most rows
-    terms: the monomials of degree d / 2, a binomial.  The constant pays
-    for a few such dicts and poly_mul's accumulator.
-    """
-    rows = math.comb(d // 2 + cfg.n - 1, cfg.n - 1)
-    guard_bytes(f"degree-{d} membership needs {rows} monomial rows", _SUBDUCTION_ROW_BYTES * rows)
-
-
 def membership_dickson(x, ring):
     """Express a homogeneous polynomial class in the D_n or SD_n generators.
 
     Returns {exponent tuple: coefficient} over the ring's generator list
     (ring_generators order), or None when x is not a member.  The zero class
-    yields the empty decomposition.  check_membership_bytes prices the work
-    from d alone, before the generators, any monomial or any product is
-    built.
+    yields the empty decomposition.  A degree d that no sum of generator
+    degrees reaches is no member, found by _compositions with no generator
+    built; it visits at most the product of d // deg + 1 over every degree
+    but the last, and that count is held to PRODUCT_LIMIT before it starts.
 
-    Decided by subduction (Robbiano & Sweedler, "Subalgebra bases", 1990).
+    Otherwise subduction decides (Robbiano & Sweedler, "Subalgebra bases", 1990).
     In lex order with t_1 first, the generators' lead monomials have
     linearly independent exponent vectors, so the products g^E have
     distinct leads sum(E[i] * lead(g_i)), and the lead of a member is the
     lead of one g^E in its expansion.  While the remainder is nonzero, its
     lead m either is no such sum with E >= 0, and x is not a member, or
     subtracting a multiple of g^E removes m and leaves smaller monomials
-    only; there are finitely many of degree d, so the loop ends.
+    only; there are finitely many of degree d, so the loop ends.  Each g^E
+    is built by poly_pow, one base-p digit at a time as total_chern builds
+    a power, so each of its products stops at PRODUCT_LIMIT, and the
+    remainder is held to the same limit after each step.
     """
     cfg = x.cfg
     if not x.is_polynomial():
@@ -315,12 +307,14 @@ def membership_dickson(x, ring):
         return {}
     d = x.degree()
     degrees = list(_generator_degrees(cfg, ring).values())
-    check_membership_bytes(cfg, d)
+    visits = math.prod(d // g + 1 for g in degrees[:-1])
+    what = f"degree-{d} membership searches up to {visits} exponent tuples"
+    guard(visits, PRODUCT_LIMIT, f"{what}; bound is {PRODUCT_LIMIT}")
     if next(_compositions(d, degrees), None) is None:
         return None
     p, n = cfg.p, cfg.n
-    _, gens = ring_generators(cfg, ring)
-    leads = [max(g.parts[0]) for g in gens]
+    gens = [g.parts[0] for g in ring_generators(cfg, ring)[1]]
+    leads = [max(g) for g in gens]
     # order[k]: the generator whose lead has its last nonzero exponent at t_(k+1)
     last = [max((k for k, e in enumerate(lead) if e), default=-1) for lead in leads]
     if sorted(last) != list(range(n)):
@@ -340,12 +334,15 @@ def membership_dickson(x, ring):
             if r or min(left) < 0:
                 return None
         exps = tuple(exps)
-        product = math.prod((g**e for g, e in zip(gens, exps) if e), start=ExtClass.one(cfg))
-        product = product.parts[0]
+        product = {cfg.zero_mono: 1}
+        for g, e in zip(gens, exps):
+            if e:
+                product = poly_mul(product, poly_pow(g, e, p, n), p)
         if max(product) != m:
             raise ConsistencyError(f"lead of the product with exponents {exps} is not {m}")
         c = rest[m] * pow(product[m], -1, p) % p
         add_into(rest, product, -c, p)
+        guard(len(rest), PRODUCT_LIMIT, f"a degree-{d} remainder passes {PRODUCT_LIMIT} terms")
         decomposition[exps] = c
     return decomposition
 

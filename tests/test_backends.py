@@ -235,8 +235,8 @@ def test_poly_pow_forms_no_product_past_its_digits(monkeypatch):
     # Frobenius image, where squaring would pass through (1 + t1 + t2)^512
     sizes = []
 
-    def recording(a, b, p, limit=None):
-        product = poly_mul(a, b, p, limit)
+    def recording(a, b, p):
+        product = poly_mul(a, b, p)
         sizes.append(len(product))
         return product
 
@@ -263,7 +263,7 @@ def test_power_terms_counts_the_terms_of_poly_pow(s, p):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_poly_mul_stops_at_its_limit(n):
+def test_poly_mul_stops_at_its_limit(monkeypatch, n):
     # the accumulator holds every monomial of the sumset before reduction
     # mod p; the last pass over the longer factor adds at most its length,
     # so a limit below the sumset refuses and one a factor above it admits
@@ -271,10 +271,13 @@ def test_poly_mul_stops_at_its_limit(n):
     for _ in range(5):
         a = random_poly(rng, n, rng.randint(1, 30), 4, 5)
         b = random_poly(rng, n, rng.randint(1, 30), 4, 5)
+        want = poly_mul_dict(a, b, 5)
         sumset = len({tuple(map(operator.add, x, y)) for x in a for y in b})
+        monkeypatch.setattr(backend, "PRODUCT_LIMIT", sumset - 1)
         with pytest.raises(ResourceGuardError, match=f"could pass its bound of {sumset - 1} "):
-            poly_mul(a, b, 5, sumset - 1)
-        assert poly_mul(a, b, 5, sumset + max(len(a), len(b))) == poly_mul(a, b, 5)
+            poly_mul(a, b, 5)
+        monkeypatch.setattr(backend, "PRODUCT_LIMIT", sumset + max(len(a), len(b)))
+        assert poly_mul(a, b, 5) == want
 
 
 def test_empty_operands():

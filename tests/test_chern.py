@@ -209,7 +209,7 @@ def priced_terms(rho):
 
 
 # each exits 0 from the CLI; the a >= 1 ones hold their products under
-# chern.PRODUCT_LIMIT (test_cli.py runs the (3,4) ones and 2*reg minus a
+# backend.PRODUCT_LIMIT (test_cli.py runs the (3,4) ones and 2*reg minus a
 # weight at (5,3), whose c(reg) times 123 linear factors is c(reg)^2 / (1 + v)
 # with 418,737 terms, dense to C(250, 3) = 2,573,000)
 ADMITTED = {
@@ -280,10 +280,10 @@ class TestGuard:
         # c(reg)^2 at (3,3) accumulates 935 monomials before reduction mod
         # 3 (291 remain); the limit refuses it on the way and admits it with room
         rho = regular_plus(Config(3, 3), 2)
-        monkeypatch.setattr(chern, "PRODUCT_LIMIT", 900)
+        monkeypatch.setattr(backend, "PRODUCT_LIMIT", 900)
         with pytest.raises(ResourceGuardError, match="could pass its bound of 900 "):
             total_chern(rho)
-        monkeypatch.setattr(chern, "PRODUCT_LIMIT", 2_000)
+        monkeypatch.setattr(backend, "PRODUCT_LIMIT", 2_000)
         assert total_chern(rho) == total_chern(regular_plus(Config(3, 3), 1)) ** 2
 
     def test_the_result_is_priced_from_its_length(self, monkeypatch):

@@ -150,21 +150,23 @@ class TestBasicCommands:
     def test_membership_names_the_generators_without_building_them(
         self, capsys, monkeypatch, extra
     ):
-        # t1 has degree 2, below every D_4 generator: decided and named
+        # t1 has degree 2, below every D_4 generator, and no sum of the
+        # (97, 4) degrees near 1.77 * 10^8 is 2 * 10^9: decided and named
         # from the closed-form degrees, with no Dickson class built
         def unreachable(*args):
             raise AssertionError("the Dickson set was built")
 
         monkeypatch.setattr(invariants, "dickson_classes", unreachable)
-        argv = ["membership", "-p", "3", "-n", "4", "--ring", "d", "--expr", "t1"]
-        code, out, _ = run(capsys, argv + extra)
-        assert code == 0
-        if extra:
-            data = json.loads(out)
-            assert data["generators"] == ["c3", "c2", "c1", "c0"]
-            assert data["member"] is False
-        else:
-            assert out == "not a member of D_4\n"
+        for p, expr in (("3", "t1"), ("97", "t1^1000000000")):
+            argv = ["membership", "-p", p, "-n", "4", "--ring", "d", "--expr", expr]
+            code, out, _ = run(capsys, argv + extra)
+            assert code == 0
+            if extra:
+                data = json.loads(out)
+                assert data["generators"] == ["c3", "c2", "c1", "c0"]
+                assert data["member"] is False
+            else:
+                assert out == "not a member of D_4\n"
 
     def test_orbit(self, capsys):
         code, out, _ = run(
@@ -340,18 +342,19 @@ class TestExitCodes:
         assert err.startswith("resource guard: rows and lines for 1000000001 degrees, about ")
 
     def test_membership_refuses_before_building_monomials(self, capsys, monkeypatch):
-        # degree 1200 at (3, 4) has 36,361,101 monomials; refused at once,
-        # priced from the generator degrees before f_n is built
+        # degree 2 * 10^9 + 2 at (3, 4) has no composition, and the search
+        # for one would visit up to 3.3 * 10^21 tuples; refused at once,
+        # priced from the generator degrees before f_n is built or any search
         def unreachable(*args):
             raise AssertionError("the guard let the call through")
 
-        monkeypatch.setattr(invariants, "monomials", unreachable)
-        monkeypatch.setattr(invariants, "dickson_classes", unreachable)
-        argv = ["membership", "-p", "3", "-n", "4", "--ring", "d", "--expr", "t1^600"]
+        for name in ("monomials", "dickson_classes", "_compositions"):
+            monkeypatch.setattr(invariants, name, unreachable)
+        argv = ["membership", "-p", "3", "-n", "4", "--ring", "d", "--expr", "t1^1000000001"]
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
-        assert "resource guard" in err
+        assert err.startswith("resource guard: degree-2000000002 membership searches up to ")
 
     def test_invariance_prices_the_shear_before_expanding(self, capsys, monkeypatch):
         # t1^(3^17 - 1) -> (t1 + t2)^(3^17 - 1) has 3^17 terms, all nonzero
@@ -567,7 +570,7 @@ EXTREME_ARGS = {
     "membership": [
         ["--ring", ring, "--expr", f"t1^{a}"]
         for ring in ("d", "sd")
-        for a in (324, 1000000000, 2000000, 600)
+        for a in (324, 1000000000, 2000000, 600, 1000000001, 2700)
     ],
     "orbit": [
         ["--group", group, "--start", start]

@@ -68,7 +68,7 @@ QUIET_CLI = [
     (0, ["dickson", "-p", "3", "-n", "4"]),
     (0, ["dickson", "-p", "7", "-n", "3"]),
     (2, ["hilbert", "-p", "97", "-n", "4", "--group", "sl", "--max-degree", "200"]),
-    (2, ["membership", "-p", "3", "-n", "4", "--ring", "d", "--expr", "t1^600"]),
+    (2, ["membership", "-p", "3", "-n", "4", "--ring", "d", "--expr", "t1^1000000001"]),
     # members (c1 and e at (3, 2)) and a non-member, on both rings
     (0, ["membership", "-p", "3", "-n", "2", "--ring", "d", "--expr", C1_32]),
     (0, ["membership", "-p", "3", "-n", "2", "--ring", "sd", "--expr", E_32]),

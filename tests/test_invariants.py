@@ -1,5 +1,7 @@
+import bisect
 import itertools
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -48,6 +50,15 @@ from oracles import (
     transvection_group,
 )
 from test_algebra import PROPERTY, classes
+
+# every (p, n) at desk scale: odd primes to 97, n <= 4 and p^n <= 400
+DESK_CONFIGS = [
+    (p, n)
+    for p in range(3, 98, 2)
+    if all(p % q for q in range(3, p, 2))
+    for n in range(1, 5)
+    if p**n <= 400
+]
 
 
 class TestDicksonPolynomial:
@@ -426,11 +437,13 @@ class TestMembership:
     @pytest.mark.parametrize(
         "p, n, a, match",
         [
-            # 5,774,275 monomial rows of degree 648: refused on rows alone
-            (3, 4, 324, "5774275 monomial rows"),
-            (3, 4, 600, "monomial rows"),
-            # 2,000,001 monomial rows at (3, 2); 20,001 rows at degree 40,000 fit
-            (3, 2, 2000000, "2000001 monomial rows"),
+            # d = 2 mod 4 at (3, 4) has no composition, and the search for one
+            # would visit up to 3.3 * 10^21 tuples
+            (3, 4, 1000000001, "searches up to 3297457159438643175583 exponent tuples"),
+            # d = 2 * 10^9 has compositions; the price comes before the search
+            (3, 4, 1000000000, "degree-2000000000 membership searches up to"),
+            # d // 12 + 1 = 3,333,334 tuples at (3, 2); 333,334 at d = 4 * 10^6 fit
+            (3, 2, 20000000, "searches up to 3333334 exponent tuples"),
         ],
     )
     def test_guard_refuses_before_building_monomials(self, monkeypatch, p, n, a, match):
@@ -439,24 +452,76 @@ class TestMembership:
         def unreachable(*args):
             raise AssertionError("the guard let the call through")
 
-        monkeypatch.setattr(invariants, "dickson_classes", unreachable)
-        monkeypatch.setattr(invariants, "monomials", unreachable)
-        monkeypatch.setattr(ExtClass, "__pow__", unreachable)
+        for name in ("dickson_classes", "monomials", "_compositions", "poly_pow"):
+            monkeypatch.setattr(invariants, name, unreachable)
         x = ExtClass(cfg, {0: {(a,) + (0,) * (n - 1): 1}})
+        start = time.perf_counter()
         with pytest.raises(ResourceGuardError, match=match):
             membership_dickson(x, "D")
+        assert time.perf_counter() - start < 1
 
-    @pytest.mark.parametrize("p, n, ring, a", [(3, 3, "D", 240), (3, 2, "SD", 1000)])
+    def test_the_search_is_priced_by_its_tuples(self, monkeypatch):
+        # degree 120 at (3, 2): the search runs k = 0..120 // 12 over c1's
+        # exponent, 11 tuples, and reads c0's as a quotient; the lead
+        # t1^59*t2 is no sum of the leads t1^6 and t1^6*t2^2
+        cfg = Config(3, 2)
+        x = ExtClass(cfg, {0: {(59, 1): 1}})
+        monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 11)
+        assert membership_dickson(x, "D") is None
+        monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 10)
+
+        def unreachable(*args):
+            raise AssertionError("the search ran before its price")
+
+        monkeypatch.setattr(invariants, "_compositions", unreachable)
+        with pytest.raises(ResourceGuardError, match="up to 11 exponent tuples; bound is 10"):
+            membership_dickson(x, "D")
+
+    def test_the_remainder_is_held_to_the_product_limit(self, monkeypatch):
+        # t1^24 at (3, 2) costs 5 search tuples; subtracting c1^4 leaves 12 terms
+        cfg = Config(3, 2)
+        monkeypatch.setattr(invariants, "PRODUCT_LIMIT", 5)
+        with pytest.raises(ResourceGuardError, match="a degree-48 remainder passes 5 terms"):
+            membership_dickson(ExtClass.t(cfg, 1) ** 24, "D")
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_the_search_price_admits_every_degree_the_row_price_did(self, data):
+        # the row price this replaced admitted degree d = 2m while
+        # 1024 * C(m + n - 1, n - 1) bytes stayed within 2^30
+        p, n = data.draw(st.sampled_from(DESK_CONFIGS + [(97, 4)]), label="p, n")
+        ring = data.draw(st.sampled_from(["D", "SD"]), label="ring")
+
+        def refused(m):
+            return 1024 * math.comb(m + n - 1, n - 1) > 1 << 30
+
+        top = 10**18 if n == 1 else bisect.bisect(range(1 << 21), False, key=refused) - 1
+        assert not refused(top) and (n == 1 or refused(top + 1))
+        m = data.draw(st.one_of(st.just(top), st.integers(0, top)), label="m")
+        x = ExtClass(Config(p, n), {0: {(m,) + (0,) * (n - 1): 1}})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(invariants, "_compositions", lambda total, degrees: iter(()))
+            assert membership_dickson(x, ring) is None
+
+    # each is "not a member", under a traced-peak ceiling: the two small
+    # cases keep the bytes the row price gave them, and t1^324 at (3, 4),
+    # which that price refused at 5.9 GB, traced 8.9 MiB
+    SUBDUCTION_PEAKS = {(3, 3, "D", 240): 29_860_864, (3, 2, "SD", 1000): 1_025_024}
+
+    @pytest.mark.parametrize(
+        "p, n, ring, a", [(3, 3, "D", 240), (3, 2, "SD", 1000), (3, 4, "D", 324)]
+    )
     def test_peak_memory_stays_under_the_guard_estimate(self, p, n, ring, a):
         cfg = Config(p, n)
-        estimate = invariants._SUBDUCTION_ROW_BYTES * math.comb(a + n - 1, n - 1)
+        ceiling = self.SUBDUCTION_PEAKS.get((p, n, ring, a), 16 << 20)
         tracemalloc.start()
         try:
-            membership_dickson(ExtClass.t(cfg, 1) ** a, ring)
+            dec = membership_dickson(ExtClass.t(cfg, 1) ** a, ring)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < estimate
+        assert dec is None
+        assert peak < ceiling
 
     def test_leads_that_are_not_one_per_variable_are_refused(self, monkeypatch):
         cfg = Config(3, 2)
@@ -470,7 +535,7 @@ class TestMembership:
         cfg = Config(3, 2)
         c1, _ = dickson_classes(cfg).c
         # a faulty power: c1 ** 1 comes back as t2^6, whose lead is not c1's
-        monkeypatch.setattr(ExtClass, "__pow__", lambda self, e: ExtClass(cfg, {0: {(0, 6): 1}}))
+        monkeypatch.setattr(invariants, "poly_pow", lambda poly, e, p, n: {(0, 6): 1})
         with pytest.raises(ConsistencyError, match="lead of the product"):
             membership_dickson(c1, "D")
 
